@@ -15,7 +15,7 @@ from .plant import (
     closed_loop,
     controller_tf,
 )
-from .pso import FitnessError, Particle, PsoConfig, SwarmResult, minimize
+from .pso import PsoConfig, SwarmResult, minimize
 from .tuning import (
     DesignSpec,
     DominantPoles,
@@ -44,12 +44,10 @@ __all__ = [
     "ControllerParams",
     "DesignSpec",
     "DominantPoles",
-    "FitnessError",
     "FractionalPolynomial",
     "FractionalTransferFunction",
     "GlWeights",
     "ParameterBounds",
-    "Particle",
     "PsoConfig",
     "ResidualValue",
     "ResponseMetrics",

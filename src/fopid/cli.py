@@ -34,6 +34,11 @@ EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 PARAM_KEYS = ("kp", "ti", "td", "lambda", "delta")
+CONFIG_KEYS = {
+    "plant", "spec", "mode", "pso", "sim", "include_open_loop", "output_dir", "controllers",
+}
+PSO_KEYS = {"swarm_size", "iterations", "seed", "target_fitness"}
+SIM_KEYS = {"time_step", "horizon", "memory_length"}
 
 
 class ConfigError(ValueError):
@@ -73,6 +78,12 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _reject_unknown(raw: dict, known: set, where: str) -> None:
+    unknown = set(raw) - known
+    if unknown:
+        raise ConfigError(f"{where} has unknown fields: {sorted(unknown, key=str)}")
+
+
 def _parse_terms(raw, where: str) -> list[tuple[float, float]]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{where} must be a non-empty list of [coefficient, exponent] pairs")
@@ -106,10 +117,7 @@ def _parse_plant(raw) -> FractionalTransferFunction:
 def _parse_spec(raw) -> DesignSpec:
     if not isinstance(raw, dict):
         raise ConfigError("spec must be a mapping")
-    known = {"zeta", "omega0", "mp", "trise"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"spec has unknown fields: {sorted(unknown)}")
+    _reject_unknown(raw, {"zeta", "omega0", "mp", "trise"}, "spec")
     values = {key: _as_float(raw[key], f"spec.{key}") for key in raw}
     try:
         return DesignSpec(**values)
@@ -139,6 +147,7 @@ def _parse_sim(raw) -> SimConfig:
         return SimConfig()
     if not isinstance(raw, dict):
         raise ConfigError("sim must be a mapping")
+    _reject_unknown(raw, SIM_KEYS, "sim")
     kwargs = {}
     if "time_step" in raw:
         kwargs["time_step"] = _as_float(raw["time_step"], "sim.time_step")
@@ -167,6 +176,7 @@ def load_config(path: str | Path) -> JobConfig:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    _reject_unknown(data, CONFIG_KEYS, "config")
 
     if "plant" not in data:
         raise ConfigError("plant is required")
@@ -180,6 +190,7 @@ def load_config(path: str | Path) -> JobConfig:
     pso_raw = data.get("pso") or {}
     if not isinstance(pso_raw, dict):
         raise ConfigError("pso must be a mapping")
+    _reject_unknown(pso_raw, PSO_KEYS, "pso")
     pso_overrides = {}
     if "swarm_size" in pso_raw:
         pso_overrides["swarm_size"] = _as_int(pso_raw["swarm_size"], "pso.swarm_size")
@@ -194,6 +205,10 @@ def load_config(path: str | Path) -> JobConfig:
         pso_overrides["target_fitness"] = _as_float(
             pso_raw["target_fitness"], "pso.target_fitness"
         )
+
+    include_open_loop = data.get("include_open_loop", False)
+    if not isinstance(include_open_loop, bool):
+        raise ConfigError(f"include_open_loop must be true or false, got {include_open_loop!r}")
 
     controllers = []
     raw_controllers = data.get("controllers") or []
@@ -215,7 +230,7 @@ def load_config(path: str | Path) -> JobConfig:
         pso_overrides=pso_overrides,
         sim=_parse_sim(data.get("sim")),
         controllers=controllers,
-        include_open_loop=bool(data.get("include_open_loop", False)),
+        include_open_loop=include_open_loop,
         output_dir=data.get("output_dir"),
         source_bytes=raw_bytes,
     )
@@ -283,7 +298,7 @@ def _load_params_file(path: str) -> list[tuple[str, ControllerParams]]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read params file {path}: {exc}") from exc
-    results = data.get("results")
+    results = data.get("results") if isinstance(data, dict) else None
     if not isinstance(results, dict):
         raise ConfigError(f"params file {path} has no results section")
     controllers = []

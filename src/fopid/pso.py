@@ -12,25 +12,21 @@ componentwise to velocity_limit_fraction * (upper - lower). The global best
 is advanced only after all fitness evaluations of an iteration complete, and
 personal/global bests are replaced only on strict improvement, which keeps
 runs deterministic for a fixed seed.
+
+The swarm is held as arrays, one row per particle. Random draws come in
+(swarm_size, 2, dims) blocks: per particle, position then velocity at start,
+phi1 then phi2 in each step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 FitnessFunction = Callable[[np.ndarray], float]
-
-
-class FitnessError(RuntimeError):
-    """A fitness evaluation failed; carries the offending position."""
-
-    def __init__(self, position: np.ndarray, cause: BaseException):
-        super().__init__(f"fitness evaluation failed at {position!r}: {cause}")
-        self.position = np.array(position, dtype=float)
 
 
 @dataclass
@@ -80,11 +76,13 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float = math.inf
+class Swarm:
+    """Swarm state: positions, velocities and personal bests, one row per particle."""
+
+    position: np.ndarray  # (swarm_size, dims)
+    velocity: np.ndarray  # (swarm_size, dims)
+    best_positions: np.ndarray  # (swarm_size, dims)
+    best_values: np.ndarray  # (swarm_size,)
 
 
 @dataclass
@@ -103,7 +101,7 @@ class SwarmResult:
     swarm_fitness: float
 
 
-def initialize(config: PsoConfig, rng: np.random.Generator) -> list[Particle]:
+def initialize(config: PsoConfig, rng: np.random.Generator) -> Swarm:
     """Draw the starting swarm.
 
     Positions are uniform inside the box; velocity components are uniform in
@@ -111,23 +109,14 @@ def initialize(config: PsoConfig, rng: np.random.Generator) -> list[Particle]:
     positions with unset (infinite) fitness; the first evaluation records it.
     """
     span = config.upper_bounds - config.lower_bounds
-    particles = []
-    for _ in range(config.swarm_size):
-        position = config.lower_bounds + rng.random(config.dims) * span
-        velocity = -span + rng.random(config.dims) * (2.0 * span)
-        particles.append(Particle(position, velocity, position.copy()))
-    return particles
-
-
-def _evaluate(fitness: FitnessFunction, position: np.ndarray) -> float:
-    try:
-        return float(fitness(position))
-    except Exception as exc:
-        raise FitnessError(position, exc) from exc
+    draws = rng.random((config.swarm_size, 2, config.dims))
+    position = config.lower_bounds + draws[:, 0] * span
+    velocity = -span + draws[:, 1] * (2.0 * span)
+    return Swarm(position, velocity, position.copy(), np.full(config.swarm_size, math.inf))
 
 
 def step(
-    particles: Sequence[Particle],
+    swarm: Swarm,
     best_position: np.ndarray,
     best_fitness: float,
     config: PsoConfig,
@@ -137,33 +126,25 @@ def step(
     """Advance the swarm one iteration; returns the (possibly new) global best.
 
     All particles move and are evaluated against the incumbent global best
-    before it advances (synchronous update). Particles are mutated in place.
+    before it advances (synchronous update). The swarm is updated in place.
     """
     vmax = config.velocity_limit
-    for particle in particles:
-        phi1 = rng.random(config.dims)
-        phi2 = rng.random(config.dims)
-        particle.velocity = (
-            config.inertia * particle.velocity
-            + config.cognitive * phi1 * (particle.best_position - particle.position)
-            + config.social * phi2 * (best_position - particle.position)
-        )
-        np.clip(particle.velocity, -vmax, vmax, out=particle.velocity)
-        particle.position = particle.position + particle.velocity
-        np.clip(
-            particle.position,
-            config.lower_bounds,
-            config.upper_bounds,
-            out=particle.position,
-        )
-        fitness_value = _evaluate(fitness, particle.position)
-        if fitness_value < particle.best_fitness:
-            particle.best_fitness = fitness_value
-            particle.best_position = particle.position.copy()
-    for particle in particles:
-        if particle.best_fitness < best_fitness:
-            best_fitness = particle.best_fitness
-            best_position = particle.best_position.copy()
+    phi = rng.random((len(swarm.position), 2, config.dims))
+    swarm.velocity = (
+        config.inertia * swarm.velocity
+        + config.cognitive * phi[:, 0] * (swarm.best_positions - swarm.position)
+        + config.social * phi[:, 1] * (best_position - swarm.position)
+    )
+    np.clip(swarm.velocity, -vmax, vmax, out=swarm.velocity)
+    swarm.position = swarm.position + swarm.velocity
+    np.clip(swarm.position, config.lower_bounds, config.upper_bounds, out=swarm.position)
+    values = np.array([float(fitness(row)) for row in swarm.position])
+    improved = values < swarm.best_values
+    swarm.best_values[improved] = values[improved]
+    swarm.best_positions[improved] = swarm.position[improved]
+    leader = int(np.argmin(swarm.best_values))
+    if swarm.best_values[leader] < best_fitness:
+        return swarm.best_positions[leader].copy(), float(swarm.best_values[leader])
     return best_position, best_fitness
 
 
@@ -172,23 +153,20 @@ def minimize(config: PsoConfig, fitness: FitnessFunction) -> SwarmResult:
 
     The fitness history holds the global best after initialization plus one
     entry per iteration; it is monotone non-increasing. Identical seeds give
-    bit-identical results.
+    bit-identical results. An exception raised by the fitness function
+    propagates unchanged.
     """
     rng = np.random.default_rng(config.seed)
-    particles = initialize(config, rng)
-    for particle in particles:
-        particle.best_fitness = _evaluate(fitness, particle.position)
-    best_position = particles[0].best_position.copy()
-    best_fitness = particles[0].best_fitness
-    for particle in particles[1:]:
-        if particle.best_fitness < best_fitness:
-            best_fitness = particle.best_fitness
-            best_position = particle.best_position.copy()
+    swarm = initialize(config, rng)
+    swarm.best_values = np.array([float(fitness(row)) for row in swarm.position])
+    leader = int(np.argmin(swarm.best_values))
+    best_position = swarm.best_positions[leader].copy()
+    best_fitness = float(swarm.best_values[leader])
     history = [best_fitness]
     iterations = 0
     while iterations < config.max_iterations and best_fitness > config.target_fitness:
         best_position, best_fitness = step(
-            particles, best_position, best_fitness, config, rng, fitness
+            swarm, best_position, best_fitness, config, rng, fitness
         )
         history.append(best_fitness)
         iterations += 1

@@ -162,13 +162,15 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     den_rev = den_weights[::-1].copy()  # den_rev[m-1-j] = den_weights[j]
     y = np.zeros(n)
     w0 = den_weights[0]
-    for k in range(n):
-        kk = min(k, lag)
-        history = np.dot(den_rev[m - 1 - kk : m - 1], y[k - kk : k]) if kk else 0.0
-        value = (forced[kk] - history) / w0
-        if not math.isfinite(value):
-            raise SimulationDiverged(
-                k, StepResponse(time_step=h, samples=y[:k].copy())
-            )
-        y[k] = value
+    # An overflow shows up as a non-finite sample, which is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            kk = min(k, lag)
+            history = np.dot(den_rev[m - 1 - kk : m - 1], y[k - kk : k]) if kk else 0.0
+            value = (forced[kk] - history) / w0
+            if not math.isfinite(value):
+                raise SimulationDiverged(
+                    k, StepResponse(time_step=h, samples=y[:k].copy())
+                )
+            y[k] = value
     return StepResponse(time_step=h, samples=y)

@@ -168,16 +168,34 @@ class TuningProblem:
     """Plant, target pole pair, search mode, and parameter box.
 
     Integer mode pins lam = delta = 1 and searches only (kp, ti, td).
+    The plant is evaluated at both poles once, on construction.
+
+    Raises:
+        ValueError: if the plant denominator vanishes at a design pole.
     """
 
     plant: FractionalTransferFunction
     poles: DominantPoles
     mode: Mode = "fractional"
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
+    # (pole, Dp(pole), Np(pole)) at the upper pole, then at the lower one.
+    plant_at_poles: tuple[tuple[complex, complex, complex], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.mode not in ("fractional", "integer"):
             raise ValueError(f"mode must be 'fractional' or 'integer', got {self.mode!r}")
+        values = []
+        for pole in (self.poles.upper, self.poles.lower):
+            den_value = self.plant.denominator.evaluate(pole)
+            # Collision guard: at a (numerical) plant pole the cleared expression
+            # no longer represents the characteristic condition.
+            den_scale = sum(abs(c) * abs(pole) ** e for c, e in self.plant.denominator.terms)
+            if abs(den_value) <= 1e-12 * den_scale:
+                raise ValueError(f"plant denominator vanishes at the design pole {pole}")
+            values.append((pole, den_value, self.plant.numerator.evaluate(pole)))
+        object.__setattr__(self, "plant_at_poles", tuple(values))
 
     @property
     def dims(self) -> int:
@@ -218,21 +236,9 @@ def residual(
     wherever Dp(p) != 0 and whose real/imaginary split matches the
     hand-derived component expressions for the bundled benchmark. The phase
     is atan(i/r) (not the quadrant-corrected form) and the fitness is
-    f = |r| + |i| + |p|.
-
-    Raises:
-        ValueError: if the plant denominator vanishes at the pole.
+    f = |r| + |i| + |p|. Dp(p) and Np(p) come from problem.plant_at_poles.
     """
-    pole = problem.poles.lower if conjugate else problem.poles.upper
-    den_value = problem.plant.denominator.evaluate(pole)
-    # Collision guard: the pole must not be (numerically) a plant pole, or the
-    # cleared expression no longer represents the characteristic condition.
-    den_scale = sum(
-        abs(c) * abs(pole) ** e for c, e in problem.plant.denominator.terms
-    )
-    if abs(den_value) <= 1e-12 * den_scale:
-        raise ValueError(f"plant denominator vanishes at the design pole {pole}")
-    num_value = problem.plant.numerator.evaluate(pole)
+    pole, den_value, num_value = problem.plant_at_poles[1 if conjugate else 0]
     gc_value = (
         params.kp
         + params.ti * cpow(pole, -params.lam)
@@ -268,9 +274,8 @@ def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | No
     solution leaves the parameter box.
     """
     params = problem.decode(position)
-    pole = problem.poles.upper
-    num_value = problem.plant.numerator.evaluate(pole)
-    base = problem.plant.denominator.evaluate(pole) + params.kp * num_value
+    pole, den_value, num_value = problem.plant_at_poles[0]
+    base = den_value + params.kp * num_value
     u = num_value * cpow(pole, -params.lam)
     v = num_value * cpow(pole, params.delta)
     det = u.real * v.imag - v.real * u.imag

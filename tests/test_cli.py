@@ -2,11 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from fopid.cli import main
+from fopid.cli import load_config, main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FRACTIONAL_PLANT = """\
 plant:
@@ -72,7 +76,71 @@ class TestValidation:
         assert "mode" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("mode: both", "mode: both\ncontollers: []", "contollers"),
+            ("  seed: 7", "  seeed: 7", "seeed"),
+            ("  time_step: 0.01", "  tim_step: 0.01", "tim_step"),
+        ],
+    )
+    def test_unknown_key_named_in_error(self, tmp_path, capsys, old, new, key):
+        config = write_config(tmp_path, FRACTIONAL_PLANT.replace(old, new))
+        code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ['"no"', "0", "1", "yes please"])
+    def test_include_open_loop_must_be_bool(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, FRACTIONAL_PLANT + f"include_open_loop: {value}\n")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "include_open_loop must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["fractional_plant", "servo_plant"])
+    def test_bundled_configs_and_job_files_load(self, tmp_path, name):
+        shipped = CONFIG_DIR / f"{name}.yaml"
+        assert load_config(shipped).spec is not None
+        # A job file as the benchmark writes it: the shipped keys plus
+        # labelled controllers, dumped back to YAML.
+        data = yaml.safe_load(shipped.read_text())
+        data["controllers"] = [
+            {"label": "c00", "kp": 3.0, "ti": 2.0, "td": 1.5, "lambda": 0.9, "delta": 1.1}
+        ]
+        job = write_config(tmp_path, yaml.safe_dump(data, sort_keys=False))
+        config = load_config(job)
+        assert [label for label, _ in config.controllers] == ["c00"]
+        assert config.include_open_loop is data.get("include_open_loop", False)
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", '"results"', "3"])
+    def test_params_file_must_be_an_object(self, tmp_path, capsys, payload):
+        config = write_config(tmp_path, FRACTIONAL_PLANT)
+        params = tmp_path / "params.json"
+        params.write_text(payload)
+        code = main(
+            ["simulate", "--config", str(config), "--params", str(params),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "params file" in capsys.readouterr().err
+
+
 class TestTune:
+    def test_pole_collision_exit_code(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            FRACTIONAL_PLANT.replace(
+                "denominator: [[0.8, 2.2], [0.5, 0.9], [1.0, 0.0]]",
+                "denominator: [[1.0, 2.0], [2.86, 1.0], [4.84, 0.0]]",
+            ),
+        )
+        code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "vanishes" in err
+        assert "Traceback" not in err
+
     def test_writes_reports_and_manifest(self, tmp_path, capsys):
         config = write_config(tmp_path, FRACTIONAL_PLANT)
         out = tmp_path / "out"

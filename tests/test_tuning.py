@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fopid import benchmarks
-from fopid.plant import ControllerParams, FractionalTransferFunction
+from fopid.plant import ControllerParams, FractionalPolynomial, FractionalTransferFunction
 from fopid.pso import PsoConfig, minimize
 from fopid.tuning import (
     SOLVE_REAL_TARGET,
@@ -183,9 +183,24 @@ class TestResidual:
         plant = FractionalTransferFunction.from_terms(
             [(1.0, 0.0)], [(1.0, 2.0), (2.86, 1.0), (4.84, 0.0)]
         )
-        problem = TuningProblem(plant, poles_from_damping(0.65, 2.2))
         with pytest.raises(ValueError, match="vanishes"):
-            residual(ControllerParams(1.0, 1.0, 1.0, 1.0, 1.0), problem)
+            TuningProblem(plant, poles_from_damping(0.65, 2.2))
+
+    def test_plant_evaluated_once_per_problem(self, monkeypatch):
+        problem = benchmarks.fractional_problem()
+        poles = (problem.poles.upper, problem.poles.lower)
+        for (pole, den_value, num_value), expected in zip(problem.plant_at_poles, poles):
+            assert pole == expected
+            assert den_value == problem.plant.denominator.evaluate(pole)
+            assert num_value == problem.plant.numerator.evaluate(pole)
+
+        def evaluate(self, s):
+            raise AssertionError("plant evaluated after construction")
+
+        monkeypatch.setattr(FractionalPolynomial, "evaluate", evaluate)
+        residual(FRACTIONAL_PARAMS, problem)
+        residual(FRACTIONAL_PARAMS, problem, conjugate=True)
+        tune(problem, default_pso_config(problem, max_iterations=3))
 
 
 class TestClosedFormOracle:
