@@ -34,6 +34,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 PARAM_KEYS = ("kp", "ti", "td", "lambda", "delta")
+# "lam" is accepted as another spelling of "lambda", but not beside it.
+CONTROLLER_KEYS = {*PARAM_KEYS, "lam", "label"}
 CONFIG_KEYS = {
     "plant", "spec", "mode", "pso", "sim", "include_open_loop", "output_dir", "controllers",
 }
@@ -125,21 +127,34 @@ def _parse_spec(raw) -> DesignSpec:
         raise ConfigError(f"spec: {exc}") from exc
 
 
-def _parse_controller(raw, where: str) -> tuple[str, ControllerParams]:
+def _check_label(label, where: str) -> str:
+    """A label names an output file, so it must be a plain file-name part."""
+    if not isinstance(label, str) or not label:
+        raise ConfigError(f"{where} must be a non-empty string, got {label!r}")
+    if "/" in label or "\\" in label or label in (".", ".."):
+        raise ConfigError(f"{where} {label!r} must not contain / or \\ or be . or ..")
+    return label
+
+
+def _parse_controller(raw, where: str) -> tuple[str | None, ControllerParams]:
+    """Parameters and label (None when not given) of one controller entry."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
+    _reject_unknown(raw, CONTROLLER_KEYS, where)
+    if "lam" in raw and "lambda" in raw:
+        raise ConfigError(f"{where} gives both lam and lambda; give one of them")
     values = {}
     for key in PARAM_KEYS:
-        source = key if key in raw else ("lam" if key == "lambda" and "lam" in raw else None)
-        if source is None:
+        source = "lam" if key == "lambda" and "lam" in raw else key
+        if source not in raw:
             raise ConfigError(f"{where}.{key} is required")
         values[key] = _as_float(raw[source], f"{where}.{key}")
-    label = raw.get("label", "")
+    label = _check_label(raw["label"], f"{where}.label") if "label" in raw else None
     params = ControllerParams(
         kp=values["kp"], ti=values["ti"], td=values["td"],
         lam=values["lambda"], delta=values["delta"],
     )
-    return str(label), params
+    return label, params
 
 
 def _parse_sim(raw) -> SimConfig:
@@ -206,6 +221,10 @@ def load_config(path: str | Path) -> JobConfig:
             pso_raw["target_fitness"], "pso.target_fitness"
         )
 
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+
     include_open_loop = data.get("include_open_loop", False)
     if not isinstance(include_open_loop, bool):
         raise ConfigError(f"include_open_loop must be true or false, got {include_open_loop!r}")
@@ -231,7 +250,7 @@ def load_config(path: str | Path) -> JobConfig:
         sim=_parse_sim(data.get("sim")),
         controllers=controllers,
         include_open_loop=include_open_loop,
-        output_dir=data.get("output_dir"),
+        output_dir=output_dir,
         source_bytes=raw_bytes,
     )
 
@@ -304,6 +323,9 @@ def _load_params_file(path: str) -> list[tuple[str, ControllerParams]]:
     controllers = []
     for label in sorted(results):
         entry = results[label]
+        _check_label(label, "params file entry")
+        if label == "open_loop":
+            raise ConfigError("params file entry 'open_loop' would replace the open-loop curve")
         if not isinstance(entry, dict) or "params" not in entry:
             raise ConfigError(f"params file entry {label!r} has no params")
         _, params = _parse_controller(entry["params"], f"results.{label}.params")

@@ -16,6 +16,12 @@ runs deterministic for a fixed seed.
 The swarm is held as arrays, one row per particle. Random draws come in
 (swarm_size, 2, dims) blocks: per particle, position then velocity at start,
 phi1 then phi2 in each step.
+
+The fitness is evaluated once per iteration on the whole swarm: it takes the
+(swarm_size, dims) array of positions, must not modify it, and returns the
+(swarm_size,) array of fitness values, one per row. Row k's value must not
+depend on the other rows, so that a swarm's results do not depend on how
+its rows are batched.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-FitnessFunction = Callable[[np.ndarray], float]
+# (N, dims) positions -> (N,) fitness values.
+FitnessFunction = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -115,6 +122,21 @@ def initialize(config: PsoConfig, rng: np.random.Generator) -> Swarm:
     return Swarm(position, velocity, position.copy(), np.full(config.swarm_size, math.inf))
 
 
+def _clamp(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+    """np.clip(values, lower, upper, out=values) with less call overhead."""
+    np.minimum(np.maximum(values, lower, out=values), upper, out=values)
+
+
+def _evaluate(fitness: FitnessFunction, positions: np.ndarray) -> np.ndarray:
+    """The fitness of every row of positions, checked to be one float per row."""
+    values = np.asarray(fitness(positions), dtype=float)
+    if values.shape != positions.shape[:1]:
+        raise ValueError(
+            f"fitness returned shape {values.shape} for {len(positions)} positions"
+        )
+    return values
+
+
 def step(
     swarm: Swarm,
     best_position: np.ndarray,
@@ -135,14 +157,14 @@ def step(
         + config.cognitive * phi[:, 0] * (swarm.best_positions - swarm.position)
         + config.social * phi[:, 1] * (best_position - swarm.position)
     )
-    np.clip(swarm.velocity, -vmax, vmax, out=swarm.velocity)
+    _clamp(swarm.velocity, -vmax, vmax)
     swarm.position = swarm.position + swarm.velocity
-    np.clip(swarm.position, config.lower_bounds, config.upper_bounds, out=swarm.position)
-    values = np.array([float(fitness(row)) for row in swarm.position])
+    _clamp(swarm.position, config.lower_bounds, config.upper_bounds)
+    values = _evaluate(fitness, swarm.position)
     improved = values < swarm.best_values
-    swarm.best_values[improved] = values[improved]
-    swarm.best_positions[improved] = swarm.position[improved]
-    leader = int(np.argmin(swarm.best_values))
+    np.copyto(swarm.best_values, values, where=improved)
+    np.copyto(swarm.best_positions, swarm.position, where=improved[:, np.newaxis])
+    leader = int(swarm.best_values.argmin())
     if swarm.best_values[leader] < best_fitness:
         return swarm.best_positions[leader].copy(), float(swarm.best_values[leader])
     return best_position, best_fitness
@@ -158,8 +180,8 @@ def minimize(config: PsoConfig, fitness: FitnessFunction) -> SwarmResult:
     """
     rng = np.random.default_rng(config.seed)
     swarm = initialize(config, rng)
-    swarm.best_values = np.array([float(fitness(row)) for row in swarm.position])
-    leader = int(np.argmin(swarm.best_values))
+    swarm.best_values = _evaluate(fitness, swarm.position)
+    leader = int(swarm.best_values.argmin())
     best_position = swarm.best_positions[leader].copy()
     best_fitness = float(swarm.best_values[leader])
     history = [best_fitness]

@@ -4,21 +4,24 @@ Design requirements (overshoot and rise time, or damping ratio and natural
 frequency directly) fix a complex-conjugate dominant pole pair. Forcing a
 pole to satisfy the closed-loop characteristic equation constrains the five
 controller parameters; the constraint violation is folded into a scalar
-fitness that a bounded particle swarm minimizes. Because the residual is
-affine in the gains, tune() then solves for (ti, td) exactly at the swarm's
-(kp, lam, delta) and keeps that point when it lies in the box and lowers the
-fitness.
+fitness that a bounded particle swarm minimizes, one (N, dims) array of
+positions per swarm iteration. Because the residual is affine in the gains,
+tune() then solves for (ti, td) exactly at the swarm's (kp, lam, delta) and
+keeps that point when it lies in the box and lowers the fitness.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
 
-from .cpower import cpow
+# Not used here; kept importable as tuning.cpow for callers that look the
+# entry point up on this module (the traced run in perfbench/spans.py).
+from .cpower import cpow  # noqa: F401
 from .plant import ControllerParams, FractionalTransferFunction
 from .pso import PsoConfig, SwarmResult, minimize
 
@@ -39,6 +42,11 @@ DEFAULT_VELOCITY_FRACTION = 0.05
 # would leave the phase term atan(I/R) at 0/0, so f would be rounding noise;
 # 1e-6 sits well above the cancellation floor of the residual's terms.
 SOLVE_REAL_TARGET = 1e-6
+
+# Orders (lam, delta) of every integer-mode row, and the signs that turn them
+# into the exponents (-lam, delta) of p in Gc(p).
+UNIT_ORDERS = np.ones((1, 2))
+EXPONENT_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,8 @@ class TuningProblem:
     """Plant, target pole pair, search mode, and parameter box.
 
     Integer mode pins lam = delta = 1 and searches only (kp, ti, td).
-    The plant is evaluated at both poles once, on construction.
+    The plant and the logarithms the residual needs are evaluated at both
+    poles once, on construction.
 
     Raises:
         ValueError: if the plant denominator vanishes at a design pole.
@@ -182,6 +191,9 @@ class TuningProblem:
     plant_at_poles: tuple[tuple[complex, complex, complex], ...] = field(
         init=False, compare=False, repr=False
     )
+    # log(pole) in the same order. A design pole has x > 0, so it is never on
+    # the branch cut, and p^e = exp(e*log p) on the principal branch.
+    log_poles: tuple[complex, complex] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("fractional", "integer"):
@@ -196,6 +208,8 @@ class TuningProblem:
                 raise ValueError(f"plant denominator vanishes at the design pole {pole}")
             values.append((pole, den_value, self.plant.numerator.evaluate(pole)))
         object.__setattr__(self, "plant_at_poles", tuple(values))
+        log_poles = (cmath.log(self.poles.upper), cmath.log(self.poles.lower))
+        object.__setattr__(self, "log_poles", log_poles)
 
     @property
     def dims(self) -> int:
@@ -212,8 +226,20 @@ class TuningProblem:
             raise ValueError("integer mode expects a 3-vector")
         return ControllerParams(values[0], values[1], values[2], 1.0, 1.0)
 
-    def fitness(self, position: np.ndarray) -> float:
-        return residual(self.decode(position), self).f
+    def fitness(self, positions: np.ndarray) -> np.ndarray:
+        """Residual fitness f of each row of an (N, dims) array of positions.
+
+        Returns an (N,) array. Row k gives exactly residual(decode(row k)).f,
+        whatever N is.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != self.dims:
+            raise ValueError(
+                f"{self.mode} mode expects positions of shape (N, {self.dims}), "
+                f"got {positions.shape}"
+            )
+        orders = positions[:, 3:] if self.mode == "fractional" else UNIT_ORDERS
+        return _residual_columns(self, positions[:, :3], orders)[3]
 
 
 def _phase(r: float, i: float) -> float:
@@ -223,6 +249,38 @@ def _phase(r: float, i: float) -> float:
             return 0.0
         return math.copysign(math.pi / 2.0, i)
     return math.atan(i / r)
+
+
+def _phase_columns(r: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """_phase elementwise, without dividing by a zero r."""
+    if np.count_nonzero(r) == len(r):
+        return np.arctan(i / r)
+    on_axis = r == 0.0
+    ratio = np.divide(i, r, out=np.zeros_like(r), where=~on_axis)
+    phase = np.arctan(ratio)
+    phase[on_axis] = np.where(i[on_axis] == 0.0, 0.0, np.copysign(math.pi / 2.0, i[on_axis]))
+    return phase
+
+
+def _powers(problem: TuningProblem, orders: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """p^-lam and p^delta, as exp(e*log p), for each row of (lam, delta) in orders."""
+    return np.exp(orders * (EXPONENT_SIGNS * problem.log_poles[conjugate]))
+
+
+def _residual_columns(
+    problem: TuningProblem, gains: np.ndarray, orders: np.ndarray, conjugate: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns r, i, p, f of the residual for rows of (kp, ti, td) and (lam, delta).
+
+    gains is (N, 3); orders is (N, 2), or (1, 2) to share one pair of orders.
+    """
+    _, den_value, num_value = problem.plant_at_poles[conjugate]
+    terms = gains[:, 1:] * _powers(problem, orders, conjugate)
+    expression = den_value + (gains[:, 0] + terms[:, 0] + terms[:, 1]) * num_value
+    r = expression.real
+    i = expression.imag
+    p = _phase_columns(r, i)
+    return r, i, p, np.abs(r) + np.abs(i) + np.abs(p)
 
 
 def residual(
@@ -236,19 +294,15 @@ def residual(
     wherever Dp(p) != 0 and whose real/imaginary split matches the
     hand-derived component expressions for the bundled benchmark. The phase
     is atan(i/r) (not the quadrant-corrected form) and the fitness is
-    f = |r| + |i| + |p|. Dp(p) and Np(p) come from problem.plant_at_poles.
+    f = |r| + |i| + |p|. Dp(p), Np(p) and log p come from the problem. This
+    is a one-row call into the kernel behind TuningProblem.fitness, so the
+    two agree bit for bit.
     """
-    pole, den_value, num_value = problem.plant_at_poles[1 if conjugate else 0]
-    gc_value = (
-        params.kp
-        + params.ti * cpow(pole, -params.lam)
-        + params.td * cpow(pole, params.delta)
-    )
-    expression = den_value + gc_value * num_value
-    r = expression.real
-    i = expression.imag
-    p = _phase(r, i)
-    return ResidualValue(r=r, i=i, p=p, f=abs(r) + abs(i) + abs(p))
+    gains = np.array([[params.kp, params.ti, params.td]])
+    orders = np.array([[params.lam, params.delta]])
+    columns = _residual_columns(problem, gains, orders, conjugate)
+    r, i, p, f = (float(column[0]) for column in columns)
+    return ResidualValue(r=r, i=i, p=p, f=f)
 
 
 def default_pso_config(problem: TuningProblem, seed: int = 0, **overrides) -> PsoConfig:
@@ -274,10 +328,9 @@ def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | No
     solution leaves the parameter box.
     """
     params = problem.decode(position)
-    pole, den_value, num_value = problem.plant_at_poles[0]
+    _, den_value, num_value = problem.plant_at_poles[0]
     base = den_value + params.kp * num_value
-    u = num_value * cpow(pole, -params.lam)
-    v = num_value * cpow(pole, params.delta)
+    u, v = num_value * _powers(problem, np.array([[params.lam, params.delta]]))[0]
     det = u.real * v.imag - v.real * u.imag
     if det == 0.0:
         return None
@@ -326,7 +379,7 @@ def tune(
     result = minimize(pso, problem.fitness)
     solved = solve_gains(result.best_position, problem)
     if solved is not None:
-        solved_fitness = problem.fitness(solved)
+        solved_fitness = float(problem.fitness(solved[np.newaxis])[0])
         if solved_fitness < result.best_fitness:
             result = replace(
                 result,

@@ -126,6 +126,83 @@ class TestValidation:
         assert "params file" in capsys.readouterr().err
 
 
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys):
+        config = write_config(tmp_path, TestVerify.CONFIG + "output_dir: 5\n")
+        code = main(["verify", "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "output_dir must be a string" in err
+        assert "Traceback" not in err
+
+    def test_controller_unknown_key_named_in_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, TestVerify.CONFIG.replace("label: none", "lable: mine")
+        )
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "controllers[1] has unknown fields: ['lable']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_controller_lam_and_lambda_conflict(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, TestVerify.CONFIG.replace("lambda: 1.0, delta", "lam: 0.5, lambda: 1, delta")
+        )
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "both lam and lambda" in capsys.readouterr().err
+
+    def test_controller_lam_alone_is_lambda(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, TestVerify.CONFIG.replace("lambda: 1.0, delta: 1.0, label: classic",
+                                                "lam: 0.5, delta: 1.0, label: classic")
+        )
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["classic"]["params"]["lambda"] == 0.5
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ('"x/y"', "must not contain"),
+            ('"x\\\\y"', "must not contain"),
+            ('"."', "must not contain"),
+            ('".."', "must not contain"),
+            ('""', "non-empty string"),
+            ("5", "non-empty string"),
+        ],
+    )
+    def test_bad_controller_label(self, tmp_path, capsys, label, message):
+        config = write_config(
+            tmp_path, TestSimulate.CONFIG.replace("label: classic", f"label: {label}")
+        )
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "controllers[0].label" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [("../escape", "must not contain"), ("open_loop", "replace the open-loop curve")],
+    )
+    def test_bad_label_in_params_file(self, tmp_path, capsys, label, message):
+        config = write_config(tmp_path, TestSimulate.CONFIG)
+        params = tmp_path / "params.json"
+        entry = {"params": {"kp": 1.0, "ti": 1.0, "td": 1.0, "lambda": 1.0, "delta": 1.0}}
+        params.write_text(json.dumps({"results": {label: entry}}))
+        out = tmp_path / "o"
+        code = main(
+            ["simulate", "--config", str(config), "--params", str(params), "--out", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "escape.csv").exists()
+
+
 class TestTune:
     def test_pole_collision_exit_code(self, tmp_path, capsys):
         config = write_config(

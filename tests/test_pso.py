@@ -11,8 +11,13 @@ from fopid.pso import PsoConfig, Swarm, initialize, minimize, step
 from fopid.tuning import default_pso_config
 
 
-def sphere(x):
-    return float(np.sum(x * x))
+def sphere(positions):
+    return np.sum(positions * positions, axis=1)
+
+
+def one_row(fitness, position):
+    """The fitness of a single position, through a one-row batch."""
+    return float(fitness(position[np.newaxis])[0])
 
 
 def make_config(**overrides):
@@ -28,12 +33,13 @@ def make_config(**overrides):
 def evaluated_swarm(config, rng, fitness=sphere):
     """A fresh swarm with its personal-best values recorded, and its leader."""
     swarm = initialize(config, rng)
-    swarm.best_values = np.array([fitness(row) for row in swarm.position])
+    swarm.best_values = fitness(swarm.position)
     leader = int(np.argmin(swarm.best_values))
     return swarm, swarm.best_positions[leader].copy(), float(swarm.best_values[leader])
 
 
-# --- reference: the swarm as a list of particles, moved one at a time -------
+# --- reference: the swarm as a list of particles, moved and evaluated one at
+# a time, each through a one-row call of the batched fitness ------------------
 
 
 @dataclass
@@ -60,7 +66,7 @@ def reference_step(particles, best_position, best_fitness, config, rng, fitness)
             particle.position, config.lower_bounds, config.upper_bounds,
             out=particle.position,
         )
-        value = float(fitness(particle.position))
+        value = one_row(fitness, particle.position)
         if value < particle.best_fitness:
             particle.best_fitness = value
             particle.best_position = particle.position.copy()
@@ -81,7 +87,7 @@ def reference_minimize(config, fitness):
         velocity = -span + rng.random(config.dims) * (2.0 * span)
         particles.append(ReferenceParticle(position, velocity, position.copy()))
     for particle in particles:
-        particle.best_fitness = float(fitness(particle.position))
+        particle.best_fitness = one_row(fitness, particle.position)
     best_position = particles[0].best_position.copy()
     best_fitness = particles[0].best_fitness
     for particle in particles[1:]:
@@ -249,14 +255,14 @@ class TestMinimize:
 
     def test_constant_fitness(self):
         config = make_config(max_iterations=25, target_fitness=0.0, seed=6)
-        result = minimize(config, lambda x: 3.5)
+        result = minimize(config, lambda x: np.full(len(x), 3.5))
         assert result.best_fitness == 3.5
         assert result.fitness_history == [3.5] * len(result.fitness_history)
 
     def test_distance_to_point(self):
         target = np.array([2.5, -1.5, 3.0, 0.5, -7.0])
         config = make_config(max_iterations=300, target_fitness=0.0, seed=11)
-        result = minimize(config, lambda x: float(np.linalg.norm(x - target)))
+        result = minimize(config, lambda x: np.linalg.norm(x - target, axis=1))
         assert np.all(np.abs(result.best_position - target) < 1e-4)
 
     def test_history_monotone_and_matches_best(self):
@@ -287,16 +293,37 @@ class TestMinimize:
         swarm, gbest, gfit = evaluated_swarm(config, rng)
         for _ in range(30):
             gbest, gfit = step(swarm, gbest, gfit, config, rng, sphere)
-            current = np.array([sphere(row) for row in swarm.position])
+            current = sphere(swarm.position)
             assert np.all(swarm.best_values <= current)
             assert gfit == swarm.best_values.min()
 
     def test_first_minimum_leads_on_ties(self):
         # Every particle ties, so the first one is gbest and nothing replaces it.
         config = make_config(max_iterations=5, target_fitness=0.0, seed=16)
-        result = minimize(config, lambda x: 1.0)
+        result = minimize(config, lambda x: np.ones(len(x)))
         first = initialize(config, np.random.default_rng(16)).position[0]
         assert result.best_position.tobytes() == first.tobytes()
+
+    def test_fitness_called_once_per_iteration_on_the_whole_swarm(self):
+        shapes = []
+
+        def recording(positions):
+            shapes.append(positions.shape)
+            return sphere(positions)
+
+        config = make_config(swarm_size=12, max_iterations=20, target_fitness=0.0, seed=3)
+        result = minimize(config, recording)
+        assert result.iterations_run == 20
+        assert shapes == [(12, 5)] * (result.iterations_run + 1)
+
+    @pytest.mark.parametrize(
+        "returned",
+        [lambda x: 1.0, lambda x: np.ones(len(x) - 1), lambda x: np.ones((len(x), 1))],
+        ids=["scalar", "short", "column"],
+    )
+    def test_fitness_must_give_one_value_per_row(self, returned):
+        with pytest.raises(ValueError, match="shape"):
+            minimize(make_config(swarm_size=4), returned)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_on_sphere(self, seed):

@@ -1,12 +1,15 @@
 """Tests for pole placement, the residual fitness, and tuning."""
 
+import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fopid import benchmarks
+from fopid.cpower import cpow
 from fopid.plant import ControllerParams, FractionalPolynomial, FractionalTransferFunction
 from fopid.pso import PsoConfig, minimize
 from fopid.tuning import (
@@ -14,7 +17,9 @@ from fopid.tuning import (
     DesignSpec,
     DominantPoles,
     ParameterBounds,
+    ResidualValue,
     TuningProblem,
+    _phase,
     default_pso_config,
     poles_from_damping,
     residual,
@@ -187,12 +192,17 @@ class TestResidual:
             TuningProblem(plant, poles_from_damping(0.65, 2.2))
 
     def test_plant_evaluated_once_per_problem(self, monkeypatch):
-        problem = benchmarks.fractional_problem()
+        problem = benchmarks.servo_problem()
         poles = (problem.poles.upper, problem.poles.lower)
-        for (pole, den_value, num_value), expected in zip(problem.plant_at_poles, poles):
+        for (pole, den_value, num_value), log_pole, expected in zip(
+            problem.plant_at_poles, problem.log_poles, poles
+        ):
             assert pole == expected
             assert den_value == problem.plant.denominator.evaluate(pole)
             assert num_value == problem.plant.numerator.evaluate(pole)
+            assert log_pole == cmath.log(pole)
+        # The lower pole's logarithm is the exact conjugate of the upper's.
+        assert problem.log_poles[1] == problem.log_poles[0].conjugate()
 
         def evaluate(self, s):
             raise AssertionError("plant evaluated after construction")
@@ -201,6 +211,124 @@ class TestResidual:
         residual(FRACTIONAL_PARAMS, problem)
         residual(FRACTIONAL_PARAMS, problem, conjugate=True)
         tune(problem, default_pso_config(problem, max_iterations=3))
+
+
+def cpow_residual(params, problem, conjugate=False):
+    """Reference: the residual in scalar complex arithmetic through cpow."""
+    pole, den_value, num_value = problem.plant_at_poles[1 if conjugate else 0]
+    gc_value = (
+        params.kp
+        + params.ti * cpow(pole, -params.lam)
+        + params.td * cpow(pole, params.delta)
+    )
+    expression = den_value + gc_value * num_value
+    r, i = expression.real, expression.imag
+    p = _phase(r, i)
+    return ResidualValue(r=r, i=i, p=p, f=abs(r) + abs(i) + abs(p))
+
+
+def box_draws(rng, count):
+    """(count, 5) positions drawn as the acceptance criteria draw parameters."""
+    return np.array(
+        [
+            [rng.uniform(1.0, 1000.0), rng.uniform(1.0, 500.0), rng.uniform(1.0, 500.0),
+             rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)]
+            for _ in range(count)
+        ]
+    )
+
+
+def in_box_swarm(problem, rng, count=30):
+    lower, upper = problem.bounds.vectors(problem.mode)
+    return lower + rng.random((count, problem.dims)) * (upper - lower)
+
+
+BUNDLED_PROBLEMS = [
+    make(mode)
+    for make in (benchmarks.fractional_problem, benchmarks.servo_problem)
+    for mode in ("fractional", "integer")
+]
+
+
+class TestFitnessKernel:
+    def assert_matches_cpow(self, problem, positions, conjugate=False):
+        if conjugate:
+            values = [residual(problem.decode(row), problem, conjugate=True).f
+                      for row in positions]
+        else:
+            values = problem.fitness(positions)
+        for row, value in zip(positions, values):
+            expected = cpow_residual(problem.decode(row), problem, conjugate).f
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_matches_cpow_on_criterion_2_draws(self):
+        problem = TuningProblem(benchmarks.fractional_plant(), benchmarks.rounded_polar_pole())
+        positions = box_draws(np.random.default_rng(20260808), 1000)
+        self.assert_matches_cpow(problem, positions)
+
+    def test_matches_cpow_on_criterion_8_draws(self):
+        rng = np.random.default_rng(88)
+        for problem in (benchmarks.fractional_problem(), benchmarks.servo_problem()):
+            positions = box_draws(rng, 100)
+            self.assert_matches_cpow(problem, positions)
+            self.assert_matches_cpow(problem, positions, conjugate=True)
+
+    @pytest.mark.parametrize("problem", BUNDLED_PROBLEMS, ids=lambda p: p.mode)
+    def test_rows_equal_one_row_residual_bit_for_bit(self, problem):
+        rng = np.random.default_rng(21)
+        for count in (1, 7, 30, 64):
+            positions = in_box_swarm(problem, rng, count)
+            values = problem.fitness(positions)
+            assert values.shape == (count,)
+            for row, value in zip(positions, values):
+                assert residual(problem.decode(row), problem).f == value
+                assert problem.fitness(row[np.newaxis])[0] == value
+
+    def test_phase_conventions_on_the_imaginary_axis_and_origin(self):
+        # The fractional plant's numerator is 1, so kp = -Re Dp(p) with no
+        # integral or derivative action leaves r = 0 exactly; a constant
+        # denominator c with kp = -c leaves r = i = 0.
+        axis = benchmarks.fractional_problem()
+        den_value = axis.plant_at_poles[0][1]
+        origin = TuningProblem(
+            FractionalTransferFunction.from_terms([(1.0, 0.0)], [(2.0, 0.0)]),
+            benchmarks.design_poles(),
+        )
+        on_axis_phase = math.copysign(math.pi / 2, den_value.imag)
+        cases = [
+            (axis, [-den_value.real, 0.0, 0.0, 1.5, 0.5], on_axis_phase),
+            (origin, [-2.0, 0.0, 0.0, 1.5, 0.5], 0.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for problem, special, phase in cases:
+                positions = np.array([[10.0, 20.0, 30.0, 0.5, 0.5], special, special])
+                values = problem.fitness(positions)
+                value = residual(problem.decode(positions[1]), problem)
+                assert value.r == 0.0
+                assert value.p == phase == _phase(value.r, value.i)
+                assert value.f == abs(value.i) + abs(phase)
+                assert values[1] == values[2] == value.f
+                assert values[0] == residual(problem.decode(positions[0]), problem).f
+
+    def test_zero_numerator_leaves_the_plant_denominator(self):
+        problem = TuningProblem(
+            FractionalTransferFunction.from_terms([], [(0.8, 2.2), (1.0, 0.0)]),
+            benchmarks.design_poles(),
+        )
+        den_value = problem.plant_at_poles[0][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = problem.fitness(in_box_swarm(problem, np.random.default_rng(3)))
+            value = residual(FRACTIONAL_PARAMS, problem)
+        assert (value.r, value.i) == (den_value.real, den_value.imag)
+        assert np.all(values == value.f)
+
+    def test_rejects_positions_of_the_wrong_shape(self):
+        problem = benchmarks.fractional_problem("integer")
+        for shape in ((3,), (4, 5), (4, 2)):
+            with pytest.raises(ValueError, match="shape"):
+                problem.fitness(np.ones(shape))
 
 
 class TestClosedFormOracle:
