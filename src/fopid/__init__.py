@@ -28,7 +28,6 @@ from .tuning import (
     tune,
 )
 from .simulate import (
-    GlWeights,
     SimConfig,
     SimulationDiverged,
     StepResponse,
@@ -46,7 +45,6 @@ __all__ = [
     "DominantPoles",
     "FractionalPolynomial",
     "FractionalTransferFunction",
-    "GlWeights",
     "ParameterBounds",
     "PsoConfig",
     "ResidualValue",

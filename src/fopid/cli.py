@@ -169,10 +169,10 @@ def _parse_sim(raw) -> SimConfig:
     if "horizon" in raw:
         kwargs["horizon"] = _as_float(raw["horizon"], "sim.horizon")
     if "memory_length" in raw:
+        # The job file spells full memory "full"; SimConfig spells it None.
         memory = raw["memory_length"]
         if memory != "full":
-            memory = _as_int(memory, "sim.memory_length")
-        kwargs["memory_length"] = memory
+            kwargs["memory_length"] = _as_int(memory, "sim.memory_length")
     try:
         return SimConfig(**kwargs)
     except ValueError as exc:
@@ -502,9 +502,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config, out_dir, args.params)
         return cmd_verify(config, out_dir, args.params)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -27,7 +27,7 @@ its rows are batched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,9 @@ class PsoConfig:
     seed: int = 0
     # Fraction of (upper - lower) used as the componentwise velocity clamp.
     velocity_limit_fraction: float = 1.0
+    # The clamp itself and its negative, set once from the fields above.
+    velocity_limit: np.ndarray = field(init=False, repr=False, compare=False)
+    velocity_floor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
@@ -76,10 +79,10 @@ class PsoConfig:
             raise ValueError("seed must be a non-negative integer")
         if not 0 < self.velocity_limit_fraction <= 1:
             raise ValueError("velocity_limit_fraction must be in (0, 1]")
-
-    @property
-    def velocity_limit(self) -> np.ndarray:
-        return self.velocity_limit_fraction * (self.upper_bounds - self.lower_bounds)
+        self.velocity_limit = self.velocity_limit_fraction * (
+            self.upper_bounds - self.lower_bounds
+        )
+        self.velocity_floor = -self.velocity_limit
 
 
 @dataclass
@@ -150,14 +153,13 @@ def step(
     All particles move and are evaluated against the incumbent global best
     before it advances (synchronous update). The swarm is updated in place.
     """
-    vmax = config.velocity_limit
     phi = rng.random((len(swarm.position), 2, config.dims))
     swarm.velocity = (
         config.inertia * swarm.velocity
         + config.cognitive * phi[:, 0] * (swarm.best_positions - swarm.position)
         + config.social * phi[:, 1] * (best_position - swarm.position)
     )
-    _clamp(swarm.velocity, -vmax, vmax)
+    _clamp(swarm.velocity, config.velocity_floor, config.velocity_limit)
     swarm.position = swarm.position + swarm.velocity
     _clamp(swarm.position, config.lower_bounds, config.upper_bounds)
     values = _evaluate(fitness, swarm.position)

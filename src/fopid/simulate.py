@@ -30,14 +30,12 @@ import numpy as np
 from .plant import FractionalTransferFunction
 
 MAX_STEPS = 10_000_000
-
-
-@dataclass(frozen=True)
-class GlWeights:
-    """Binomial weights w_0..w_{n-1} for one derivative order."""
-
-    alpha: float
-    weights: np.ndarray
+# Cap on steps x memory, which sets the run's cost: the history sum takes
+# about steps x memory multiply-adds (half that at full memory). The largest
+# bundled or benchmarked run, 5e4 samples at full memory, is 2.5e9. On a
+# 2-core VM a full-memory run at the cap (about 1e5 samples) took about 1 s;
+# MAX_STEPS alone would let a full-memory run take hours.
+MAX_STEP_MEMORY_PRODUCT = 10**10
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class SimConfig:
 
     time_step: float = 1e-3
     horizon: float = 10.0
-    memory_length: int | str | None = None  # None or "full" keeps all history
+    memory_length: int | None = None  # None keeps the full history
 
     def __post_init__(self) -> None:
         if not self.time_step > 0:
@@ -55,9 +53,15 @@ class SimConfig:
             raise ValueError("horizon must cover at least one step")
         if self.horizon / self.time_step > MAX_STEPS:
             raise ValueError(f"horizon/time_step exceeds {MAX_STEPS}")
-        if self.memory_length not in (None, "full"):
+        if self.memory_length is not None:
             if not isinstance(self.memory_length, int) or self.memory_length < 1:
-                raise ValueError("memory_length must be a positive integer or 'full'")
+                raise ValueError("memory_length must be a positive integer or None")
+        if self.steps * self.memory > MAX_STEP_MEMORY_PRODUCT:
+            raise ValueError(
+                f"steps x memory = {self.steps} x {self.memory} exceeds "
+                f"{MAX_STEP_MEMORY_PRODUCT:.0e}; shorten the history with "
+                "memory_length, or the horizon"
+            )
 
     @property
     def steps(self) -> int:
@@ -68,7 +72,7 @@ class SimConfig:
     def memory(self) -> int:
         """Maximum history lag actually used."""
         full = self.steps - 1
-        if self.memory_length in (None, "full"):
+        if self.memory_length is None:
             return full
         return min(self.memory_length, full)
 
@@ -79,7 +83,6 @@ class StepResponse:
 
     time_step: float
     samples: np.ndarray
-    input_label: str = "unit step"
 
     @property
     def times(self) -> np.ndarray:
@@ -102,15 +105,12 @@ class SimulationDiverged(RuntimeError):
         self.partial = partial
 
 
-def gl_weights(alpha: float, count: int) -> GlWeights:
-    """First ``count`` Grunwald-Letnikov weights for derivative order alpha."""
+def gl_weights(alpha: float, count: int) -> np.ndarray:
+    """First ``count`` Grunwald-Letnikov weights w_0..w_{count-1} for order alpha."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count == 1:
-        return GlWeights(alpha, np.ones(1))
     m = np.arange(1, count, dtype=float)
-    weights = np.concatenate(([1.0], np.cumprod(1.0 - (1.0 + alpha) / m)))
-    return GlWeights(alpha, weights)
+    return np.concatenate(([1.0], np.cumprod(1.0 - (1.0 + alpha) / m)))
 
 
 def gl_derivative(
@@ -120,13 +120,7 @@ def gl_derivative(
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     lag = n - 1 if memory is None else min(memory, n - 1)
-    w = gl_weights(alpha, lag + 1).weights
-    scale = time_step**-alpha
-    out = np.empty(n)
-    for k in range(n):
-        kk = min(k, lag)
-        out[k] = scale * np.dot(w[: kk + 1], samples[k - kk : k + 1][::-1])
-    return out
+    return time_step**-alpha * np.convolve(samples, gl_weights(alpha, lag + 1))[:n]
 
 
 def _combined_weights(
@@ -135,7 +129,7 @@ def _combined_weights(
     """Sum of c * h^-e * w^(e) over all polynomial terms."""
     total = np.zeros(count)
     for coefficient, exponent in terms:
-        total += coefficient * h**-exponent * gl_weights(exponent, count).weights
+        total += coefficient * h**-exponent * gl_weights(exponent, count)
     return total
 
 

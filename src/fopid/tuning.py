@@ -119,19 +119,13 @@ class DesignSpec:
         if overshoot_form:
             if self.mp is None or self.trise is None:
                 raise ValueError("overshoot form needs both mp and trise")
-            if not 0 < self.mp < 1:
-                raise ValueError(f"mp must be a fraction in (0, 1), got {self.mp}")
-            if not self.trise > 0:
-                raise ValueError(f"trise must be positive, got {self.trise}")
         elif damping_form:
             if self.zeta is None or self.omega0 is None:
                 raise ValueError("damping form needs both zeta and omega0")
-            if not 0 < self.zeta < 1:
-                raise ValueError(f"zeta must be in (0, 1), got {self.zeta}")
-            if not self.omega0 > 0:
-                raise ValueError(f"omega0 must be positive, got {self.omega0}")
         else:
             raise ValueError("empty design spec")
+        # The range checks, with messages that name the field.
+        self.poles()
 
     def damping(self) -> tuple[float, float]:
         if self.zeta is not None:
@@ -346,9 +340,7 @@ def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | No
     return solved
 
 
-def tune(
-    problem: TuningProblem, pso: PsoConfig | None = None, seed: int = 0
-) -> tuple[ControllerParams, SwarmResult]:
+def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, SwarmResult]:
     """Minimize the residual fitness with the swarm, then solve for (ti, td).
 
     After minimize(), solve_gains() keeps the swarm's (kp, lam, delta) and
@@ -363,8 +355,6 @@ def tune(
     (best fitness above target) is not an error; callers decide how to flag
     it.
     """
-    if pso is None:
-        pso = default_pso_config(problem, seed=seed)
     if pso.dims != problem.dims:
         raise ValueError(
             f"optimizer dims {pso.dims} do not match {problem.mode} mode "

@@ -176,8 +176,8 @@ def gl_partial_sum(alpha: float, count: int) -> float:
 
 def test_criterion_6_gl_weight_properties():
     """Weight recurrence values, closed-form partial sums, and their decay."""
-    half = gl_weights(0.5, 4).weights
-    unit = gl_weights(1.0, 6).weights
+    half = gl_weights(0.5, 4)
+    unit = gl_weights(1.0, 6)
     half_ok = np.allclose(half, [1.0, -0.5, -0.125, -0.0625], rtol=0, atol=1e-15)
     unit_ok = np.array_equal(unit, [1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     lengths = (501, 5001)
@@ -185,7 +185,7 @@ def test_criterion_6_gl_weight_properties():
     sums = {}
     for alpha in (0.3, 0.9, 1.41):
         for count in lengths:
-            value = float(gl_weights(alpha, count).weights.sum())
+            value = float(gl_weights(alpha, count).sum())
             expected = gl_partial_sum(alpha, count)
             sums[alpha, count] = value
             errors[alpha, count] = abs(value - expected) / abs(expected)

@@ -113,6 +113,12 @@ class TestValidation:
         assert [label for label, _ in config.controllers] == ["c00"]
         assert config.include_open_loop is data.get("include_open_loop", False)
 
+    @pytest.mark.parametrize("name", ["fractional_plant", "servo_plant"])
+    def test_memory_length_full_keeps_whole_history(self, name):
+        sim = load_config(CONFIG_DIR / f"{name}.yaml").sim
+        assert sim.memory_length is None
+        assert sim.memory == sim.steps - 1
+
     @pytest.mark.parametrize("payload", ["[1, 2]", '"results"', "3"])
     def test_params_file_must_be_an_object(self, tmp_path, capsys, payload):
         config = write_config(tmp_path, FRACTIONAL_PLANT)
@@ -365,6 +371,17 @@ controllers:
         config = write_config(tmp_path, text)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_run_cost_capped(self, tmp_path, capsys):
+        text = self.CONFIG.replace("horizon: 2.0", "horizon: 10000.0")
+        config = write_config(tmp_path, text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sim: steps x memory" in err
+        assert "memory_length" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:

@@ -51,7 +51,7 @@ class ReferenceParticle:
 
 
 def reference_step(particles, best_position, best_fitness, config, rng, fitness):
-    vmax = config.velocity_limit
+    vmax = config.velocity_limit_fraction * (config.upper_bounds - config.lower_bounds)
     for particle in particles:
         phi1 = rng.random(config.dims)
         phi2 = rng.random(config.dims)

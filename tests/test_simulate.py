@@ -7,6 +7,7 @@ import pytest
 
 from fopid.plant import ControllerParams, FractionalTransferFunction, closed_loop, controller_tf
 from fopid.simulate import (
+    MAX_STEP_MEMORY_PRODUCT,
     SimConfig,
     SimulationDiverged,
     gl_derivative,
@@ -33,21 +34,21 @@ def analytic_second_order(zeta, omega0, t):
 
 class TestGlWeights:
     def test_first_difference(self):
-        assert np.array_equal(gl_weights(1.0, 4).weights, [1.0, -1.0, 0.0, 0.0])
+        assert np.array_equal(gl_weights(1.0, 4), [1.0, -1.0, 0.0, 0.0])
 
     def test_identity_operator(self):
-        assert np.array_equal(gl_weights(0.0, 3).weights, [1.0, 0.0, 0.0])
+        assert np.array_equal(gl_weights(0.0, 3), [1.0, 0.0, 0.0])
 
     def test_half_order_by_hand(self):
         # Recurrence by hand: 1, -1/2, -1/8, -1/16.
-        assert gl_weights(0.5, 4).weights == pytest.approx([1.0, -0.5, -0.125, -0.0625])
+        assert gl_weights(0.5, 4) == pytest.approx([1.0, -0.5, -0.125, -0.0625])
 
     def test_second_difference(self):
-        assert np.array_equal(gl_weights(2.0, 5).weights, [1.0, -2.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(gl_weights(2.0, 5), [1.0, -2.0, 1.0, 0.0, 0.0])
 
     def test_recurrence_invariant(self):
         for alpha in (0.3, 0.9, 1.41, 1.97):
-            w = gl_weights(alpha, 50).weights
+            w = gl_weights(alpha, 50)
             assert w[0] == 1.0
             for j in range(1, 50):
                 assert w[j] == pytest.approx(w[j - 1] * (1 - (1 + alpha) / j), rel=1e-14)
@@ -68,8 +69,21 @@ class TestSimConfig:
         assert cfg.memory == 25
 
     def test_full_keyword(self):
-        cfg = SimConfig(time_step=0.01, horizon=1.0, memory_length="full")
+        cfg = SimConfig(time_step=0.01, horizon=1.0, memory_length=None)
         assert cfg.memory == cfg.steps - 1
+        # None is the one library spelling of full memory.
+        with pytest.raises(ValueError, match="memory_length"):
+            SimConfig(time_step=0.01, horizon=1.0, memory_length="full")
+
+    def test_cost_cap(self):
+        # 1e7 samples at full memory would run for hours; the error points at
+        # memory_length, and a short enough history is accepted.
+        with pytest.raises(ValueError, match="memory_length"):
+            SimConfig(time_step=1e-3, horizon=10_000.0)
+        assert SimConfig(time_step=1e-3, horizon=10_000.0, memory_length=500).memory == 500
+        # The largest benchmarked run: 5e4 samples at full memory.
+        cfg = SimConfig(time_step=1e-3, horizon=50.0)
+        assert cfg.steps * cfg.memory <= MAX_STEP_MEMORY_PRODUCT
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -173,15 +187,51 @@ class TestWeightSums:
         # The full weight sequence sums to zero; by 5000 terms the partial
         # sum is small for orders near or above 1, and O(n^-alpha) in general.
         for alpha, bound in ((0.9, 1e-3), (1.41, 1e-4)):
-            total = gl_weights(alpha, 5001).weights.sum()
+            total = gl_weights(alpha, 5001).sum()
             assert abs(total) < bound
 
     def test_partial_sum_decays_with_length(self):
-        sums = [abs(gl_weights(0.3, n).weights.sum()) for n in (100, 1000, 10000)]
+        sums = [abs(gl_weights(0.3, n).sum()) for n in (100, 1000, 10000)]
         assert sums[2] < sums[1] < sums[0]
 
 
+def reference_gl_derivative(samples, alpha, time_step, memory=None):
+    """The per-sample loop that gl_derivative replaced, kept as a reference.
+
+    Returns the derivative and, per sample, h^-alpha * sum_m |w_m x_{k-m}|,
+    the scale of the rounding error any summation order can make.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples)
+    lag = n - 1 if memory is None else min(memory, n - 1)
+    w = gl_weights(alpha, lag + 1)
+    scale = time_step**-alpha
+    out = np.empty(n)
+    magnitude = np.empty(n)
+    for k in range(n):
+        kk = min(k, lag)
+        window = samples[k - kk : k + 1][::-1]
+        out[k] = scale * np.dot(w[: kk + 1], window)
+        magnitude[k] = scale * np.dot(np.abs(w[: kk + 1]), np.abs(window))
+    return out, magnitude
+
+
 class TestGlDerivative:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 1.41, 2.0])
+    def test_matches_reference_loop(self, alpha):
+        h = 1e-2
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 17, 250, 2000):
+            x = 1.0 + rng.standard_normal(n)
+            for memory in (None, 1, 10, n, n + 5):
+                got = gl_derivative(x, alpha, h, memory)
+                expected, magnitude = reference_gl_derivative(x, alpha, h, memory)
+                assert got.shape == (n,)
+                if alpha == 0.0:
+                    assert np.array_equal(got, expected)
+                else:
+                    assert np.all(np.abs(got - expected) <= 1e-12 * magnitude), (n, memory)
+
     def test_half_derivative_composes_to_first(self):
         # Discrete GL weights convolve exactly: w^(0.5) * w^(0.5) = w^(1).
         h = 1e-2

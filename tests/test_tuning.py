@@ -111,6 +111,20 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="zeta"):
             DesignSpec(zeta=1.2, omega0=2.0)
 
+    @pytest.mark.parametrize(
+        "values, field_name",
+        [
+            ({"mp": 1.5, "trise": 0.3}, "mp"),
+            ({"mp": 0.1, "trise": 0.0}, "trise"),
+            ({"zeta": 0.0, "omega0": 2.0}, "zeta"),
+            ({"zeta": 0.5, "omega0": -1.0}, "omega0"),
+            ({"zeta": 0.5, "omega0": math.inf}, "finite"),
+        ],
+    )
+    def test_range_checked_when_built(self, values, field_name):
+        with pytest.raises(ValueError, match=field_name):
+            DesignSpec(**values)
+
 
 class TestResidual:
     def test_reference_integer_parameters_nearly_solve(self):
