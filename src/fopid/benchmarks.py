@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .plant import ControllerParams, FractionalTransferFunction
 from .tuning import (
     DominantPoles,
     Mode,
     ResidualValue,
     TuningProblem,
-    _phase,
+    _phase_columns,
     poles_from_damping,
 )
 
@@ -99,5 +101,5 @@ def closed_form_residual(params: ControllerParams) -> ResidualValue:
         + (REAL_OFFSET - 1.0)
     )
     i = -ti_scale * math.sin(lam_angle) + td_scale * math.sin(delta_angle) + IMAG_OFFSET
-    p = _phase(r, i)
+    p = float(_phase_columns(np.array([r]), np.array([i]))[0])
     return ResidualValue(r=r, i=i, p=p, f=abs(r) + abs(i) + abs(p))

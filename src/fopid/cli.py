@@ -362,6 +362,7 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
             "fitness": swarm.best_fitness,
             "swarm_fitness": swarm.swarm_fitness,
             "iterations": swarm.iterations_run,
+            "stop_reason": swarm.stop_reason,
             "converged": converged,
             "fitness_history": swarm.fitness_history,
         }
@@ -381,12 +382,16 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
         lines.append(f"  fitness = {entry['fitness']!r}")
         lines.append(f"  swarm fitness = {entry['swarm_fitness']!r}")
         lines.append(f"  iterations = {entry['iterations']}")
+        lines.append(f"  stop reason = {entry['stop_reason']}")
         lines.append(f"  converged = {entry['converged']} (target {target!r})")
         lines.append("")
     (out_dir / "tune_report.txt").write_text("\n".join(lines))
 
     for run_mode, entry in results.items():
-        print(f"{run_mode}: fitness {entry['fitness']:.6g} after {entry['iterations']} iterations")
+        print(
+            f"{run_mode}: fitness {entry['fitness']:.6g} after {entry['iterations']} "
+            f"iterations (stop: {entry['stop_reason']})"
+        )
     print(f"report written to {out_dir}")
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 

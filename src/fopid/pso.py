@@ -28,12 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
 # (N, dims) positions -> (N,) fitness values.
 FitnessFunction = Callable[[np.ndarray], np.ndarray]
+# A deterministic local step from one position: the improved point and its
+# fitness, or None when it has nothing to offer.
+PolishFunction = Callable[[np.ndarray], tuple[np.ndarray, float] | None]
+StopReason = Literal["solve", "target", "budget"]
 
 
 @dataclass
@@ -99,9 +103,12 @@ class Swarm:
 class SwarmResult:
     """Best point found, its fitness, and the per-iteration gbest trace.
 
-    swarm_fitness is the gbest fitness the swarm reached on its own. It equals
-    best_fitness as minimize() returns it; a later deterministic stage (see
-    tuning.tune) may lower best_fitness and the last history entry below it.
+    swarm_fitness is the gbest fitness the swarm itself held when it stopped.
+    It equals best_fitness unless a polished point (see minimize) was lower;
+    that point then becomes best_position and best_fitness, and replaces the
+    last history entry. stop_reason is "solve" when a polished point met the
+    target, "target" when the swarm's own gbest did, and "budget" when the
+    iterations ran out.
     """
 
     best_position: np.ndarray
@@ -109,6 +116,7 @@ class SwarmResult:
     iterations_run: int
     fitness_history: list[float]
     swarm_fitness: float
+    stop_reason: StopReason
 
 
 def initialize(config: PsoConfig, rng: np.random.Generator) -> Swarm:
@@ -172,13 +180,43 @@ def step(
     return best_position, best_fitness
 
 
-def minimize(config: PsoConfig, fitness: FitnessFunction) -> SwarmResult:
+def _stop_reason(
+    config: PsoConfig,
+    best_fitness: float,
+    polished: tuple[np.ndarray, float] | None,
+    iterations: int,
+) -> StopReason | None:
+    """Why the run stops now, or None to run another iteration."""
+    if (
+        polished is not None
+        and polished[1] < best_fitness
+        and polished[1] <= config.target_fitness
+    ):
+        return "solve"
+    if best_fitness <= config.target_fitness:
+        return "target"
+    if iterations >= config.max_iterations:
+        return "budget"
+    return None
+
+
+def minimize(
+    config: PsoConfig, fitness: FitnessFunction, polish: PolishFunction | None = None
+) -> SwarmResult:
     """Run the optimizer until the iteration budget or target fitness is hit.
 
     The fitness history holds the global best after initialization plus one
     entry per iteration; it is monotone non-increasing. Identical seeds give
     bit-identical results. An exception raised by the fitness function
     propagates unchanged.
+
+    polish, when given, is called on the first gbest and again each time
+    gbest strictly improves; it never touches the swarm or its random stream.
+    The run stops with stop_reason "solve" as soon as a polished point is
+    strictly below the gbest it came from and meets target_fitness. On a
+    "target" or "budget" stop, the latest polished point is kept if it is
+    below the final gbest. Either way the kept point replaces the last
+    history entry.
     """
     rng = np.random.default_rng(config.seed)
     swarm = initialize(config, rng)
@@ -188,10 +226,20 @@ def minimize(config: PsoConfig, fitness: FitnessFunction) -> SwarmResult:
     best_fitness = float(swarm.best_values[leader])
     history = [best_fitness]
     iterations = 0
-    while iterations < config.max_iterations and best_fitness > config.target_fitness:
+    polished = polish(best_position) if polish is not None else None
+    while (stop_reason := _stop_reason(config, best_fitness, polished, iterations)) is None:
+        previous = best_fitness
         best_position, best_fitness = step(
             swarm, best_position, best_fitness, config, rng, fitness
         )
         history.append(best_fitness)
         iterations += 1
-    return SwarmResult(best_position.copy(), best_fitness, iterations, history, best_fitness)
+        if polish is not None and best_fitness < previous:
+            polished = polish(best_position)
+    swarm_fitness = best_fitness
+    if polished is not None and polished[1] < best_fitness:
+        best_position, best_fitness = polished
+        history[-1] = best_fitness
+    return SwarmResult(
+        best_position.copy(), best_fitness, iterations, history, swarm_fitness, stop_reason
+    )

@@ -6,15 +6,16 @@ pole to satisfy the closed-loop characteristic equation constrains the five
 controller parameters; the constraint violation is folded into a scalar
 fitness that a bounded particle swarm minimizes, one (N, dims) array of
 positions per swarm iteration. Because the residual is affine in the gains,
-tune() then solves for (ti, td) exactly at the swarm's (kp, lam, delta) and
-keeps that point when it lies in the box and lowers the fitness.
+tune() solves for (ti, td) exactly at the swarm's (kp, lam, delta) each time
+the swarm's best improves, keeps the solved point when it lies in the box and
+lowers the fitness, and stops the swarm once that point meets the target.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -40,8 +41,11 @@ DEFAULT_VELOCITY_FRACTION = 0.05
 
 # Real part the (ti, td) solve aims the residual at, with I = 0. An exact root
 # would leave the phase term atan(I/R) at 0/0, so f would be rounding noise;
-# 1e-6 sits well above the cancellation floor of the residual's terms.
-SOLVE_REAL_TARGET = 1e-6
+# 5e-7 sits well above the cancellation floor of the residual's terms. A
+# solved point has f = |R| + |I| + |atan(I/R)|, slightly above R itself, so R
+# is set to half the default target of 1e-6: aimed at 1e-6, f lands near
+# 1.01e-6 and the swarm could never stop on a solve at that target.
+SOLVE_REAL_TARGET = 5e-7
 
 # Orders (lam, delta) of every integer-mode row, and the signs that turn them
 # into the exponents (-lam, delta) of p in Gc(p).
@@ -80,8 +84,8 @@ def poles_from_damping(zeta: float, omega0: float) -> DominantPoles:
     """
     if not 0 < zeta < 1:
         raise ValueError(f"zeta must be in (0, 1) for a complex pole pair, got {zeta}")
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     return DominantPoles(x=zeta * omega0, y=omega0 * math.sqrt(1.0 - zeta * zeta))
 
 
@@ -99,6 +103,11 @@ def spec_to_damping(mp: float, trise: float) -> tuple[float, float]:
     log_mp = math.log(mp)
     zeta = -log_mp / math.sqrt(math.pi**2 + log_mp**2)
     omega0 = (math.pi - math.acos(zeta)) / (trise * math.sqrt(1.0 - zeta * zeta))
+    if not 0 < omega0 < math.inf:
+        raise ValueError(
+            f"trise {trise} gives a natural frequency {omega0} that is not positive "
+            "and finite"
+        )
     return zeta, omega0
 
 
@@ -171,7 +180,7 @@ class TuningProblem:
 
     Integer mode pins lam = delta = 1 and searches only (kp, ti, td).
     The plant and the logarithms the residual needs are evaluated at both
-    poles once, on construction.
+    poles once, on construction, as are the box's bound vectors.
 
     Raises:
         ValueError: if the plant denominator vanishes at a design pole.
@@ -188,6 +197,11 @@ class TuningProblem:
     # log(pole) in the same order. A design pole has x > 0, so it is never on
     # the branch cut, and p^e = exp(e*log p) on the principal branch.
     log_poles: tuple[complex, complex] = field(init=False, compare=False, repr=False)
+    # (p^-1, p^1) as a (1, 2) row at the upper pole, then at the lower one:
+    # the powers of every integer-mode row, exactly as _powers gives them.
+    unit_powers: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    # bounds.vectors(mode), read-only.
+    box: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("fractional", "integer"):
@@ -204,6 +218,12 @@ class TuningProblem:
         object.__setattr__(self, "plant_at_poles", tuple(values))
         log_poles = (cmath.log(self.poles.upper), cmath.log(self.poles.lower))
         object.__setattr__(self, "log_poles", log_poles)
+        unit_powers = (_powers(self, UNIT_ORDERS), _powers(self, UNIT_ORDERS, True))
+        object.__setattr__(self, "unit_powers", unit_powers)
+        box = self.bounds.vectors(self.mode)
+        for vector in box:
+            vector.flags.writeable = False
+        object.__setattr__(self, "box", box)
 
     @property
     def dims(self) -> int:
@@ -232,21 +252,18 @@ class TuningProblem:
                 f"{self.mode} mode expects positions of shape (N, {self.dims}), "
                 f"got {positions.shape}"
             )
-        orders = positions[:, 3:] if self.mode == "fractional" else UNIT_ORDERS
-        return _residual_columns(self, positions[:, :3], orders)[3]
-
-
-def _phase(r: float, i: float) -> float:
-    """atan(i/r) with the conventions p=0 at the origin, +/-pi/2 on r=0."""
-    if r == 0.0:
-        if i == 0.0:
-            return 0.0
-        return math.copysign(math.pi / 2.0, i)
-    return math.atan(i / r)
+        if self.mode == "fractional":
+            powers = _powers(self, positions[:, 3:])
+        else:
+            powers = self.unit_powers[0]
+        return _residual_columns(self, positions[:, :3], powers)[3]
 
 
 def _phase_columns(r: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """_phase elementwise, without dividing by a zero r."""
+    """atan(i/r) elementwise, 0 at the origin and +/-pi/2 on r = 0.
+
+    Never divides by a zero r.
+    """
     if np.count_nonzero(r) == len(r):
         return np.arctan(i / r)
     on_axis = r == 0.0
@@ -262,14 +279,14 @@ def _powers(problem: TuningProblem, orders: np.ndarray, conjugate: bool = False)
 
 
 def _residual_columns(
-    problem: TuningProblem, gains: np.ndarray, orders: np.ndarray, conjugate: bool = False
+    problem: TuningProblem, gains: np.ndarray, powers: np.ndarray, conjugate: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns r, i, p, f of the residual for rows of (kp, ti, td) and (lam, delta).
+    """Columns r, i, p, f of the residual for rows of (kp, ti, td) and (p^-lam, p^delta).
 
-    gains is (N, 3); orders is (N, 2), or (1, 2) to share one pair of orders.
+    gains is (N, 3); powers is (N, 2), or (1, 2) to share one pair of powers.
     """
     _, den_value, num_value = problem.plant_at_poles[conjugate]
-    terms = gains[:, 1:] * _powers(problem, orders, conjugate)
+    terms = gains[:, 1:] * powers
     expression = den_value + (gains[:, 0] + terms[:, 0] + terms[:, 1]) * num_value
     r = expression.real
     i = expression.imag
@@ -293,8 +310,8 @@ def residual(
     two agree bit for bit.
     """
     gains = np.array([[params.kp, params.ti, params.td]])
-    orders = np.array([[params.lam, params.delta]])
-    columns = _residual_columns(problem, gains, orders, conjugate)
+    powers = _powers(problem, np.array([[params.lam, params.delta]]), conjugate)
+    columns = _residual_columns(problem, gains, powers, conjugate)
     r, i, p, f = (float(column[0]) for column in columns)
     return ResidualValue(r=r, i=i, p=p, f=f)
 
@@ -321,34 +338,44 @@ def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | No
     2x2 linear system. Returns None when the system is singular or its
     solution leaves the parameter box.
     """
-    params = problem.decode(position)
+    solved = np.array(position, dtype=float)
+    if solved.shape != (problem.dims,):
+        raise ValueError(f"{problem.mode} mode expects a {problem.dims}-vector")
+    kp = float(solved[0])
+    lam, delta = solved[3:].tolist() if problem.mode == "fractional" else (1.0, 1.0)
     _, den_value, num_value = problem.plant_at_poles[0]
-    base = den_value + params.kp * num_value
-    u, v = num_value * _powers(problem, np.array([[params.lam, params.delta]]))[0]
+    log_pole = problem.log_poles[0]
+    base = den_value + kp * num_value
+    u = num_value * cmath.exp(-lam * log_pole)
+    v = num_value * cmath.exp(delta * log_pole)
     det = u.real * v.imag - v.real * u.imag
     if det == 0.0:
         return None
     rhs_r = SOLVE_REAL_TARGET - base.real
     rhs_i = -base.imag
-    solved = np.array(position, dtype=float)
     solved[1] = (rhs_r * v.imag - v.real * rhs_i) / det
     solved[2] = (u.real * rhs_i - u.imag * rhs_r) / det
-    lower, upper = problem.bounds.vectors(problem.mode)
+    lower, upper = problem.box
     # Written so that a NaN or infinite solution also counts as outside.
-    if not np.all((lower <= solved) & (solved <= upper)):
+    if not all(
+        lo <= x <= hi for lo, x, hi in zip(lower.tolist(), solved.tolist(), upper.tolist())
+    ):
         return None
     return solved
 
 
 def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, SwarmResult]:
-    """Minimize the residual fitness with the swarm, then solve for (ti, td).
+    """Minimize the residual fitness with the swarm, solving for (ti, td) on the way.
 
-    After minimize(), solve_gains() keeps the swarm's (kp, lam, delta) and
-    solves the gains (ti, td) exactly. The solved point replaces the swarm's
-    only if it lies in the box and its fitness is strictly lower; its fitness
-    then becomes best_fitness and the last fitness_history entry (the history
-    keeps iterations_run + 1 entries). result.swarm_fitness keeps the
-    swarm-only value either way.
+    Each time the swarm's gbest improves (and on the first one), solve_gains()
+    keeps its (kp, lam, delta) and solves the gains (ti, td) exactly; this is
+    minimize()'s polish step. A solved point counts only if it lies in the box
+    and its fitness is strictly lower than the gbest it came from. The swarm
+    stops (stop_reason "solve") as soon as such a point meets the target;
+    otherwise the last solved point is kept after a "target" or "budget" stop
+    if it is lower. A kept point's fitness becomes best_fitness and the last
+    fitness_history entry (the history keeps iterations_run + 1 entries).
+    result.swarm_fitness keeps the swarm's own gbest either way.
 
     The returned parameters reproduce the reported fitness exactly:
     residual(params, problem).f == result.best_fitness. Non-convergence
@@ -360,21 +387,18 @@ def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, Swar
             f"optimizer dims {pso.dims} do not match {problem.mode} mode "
             f"(expected {problem.dims})"
         )
-    lower, upper = problem.bounds.vectors(problem.mode)
+    lower, upper = problem.box
     if not (
         np.array_equal(pso.lower_bounds, lower)
         and np.array_equal(pso.upper_bounds, upper)
     ):
         raise ValueError("optimizer bounds do not match the problem bounds")
-    result = minimize(pso, problem.fitness)
-    solved = solve_gains(result.best_position, problem)
-    if solved is not None:
-        solved_fitness = float(problem.fitness(solved[np.newaxis])[0])
-        if solved_fitness < result.best_fitness:
-            result = replace(
-                result,
-                best_position=solved,
-                best_fitness=solved_fitness,
-                fitness_history=result.fitness_history[:-1] + [solved_fitness],
-            )
+
+    def polish(position: np.ndarray) -> tuple[np.ndarray, float] | None:
+        solved = solve_gains(position, problem)
+        if solved is None:
+            return None
+        return solved, float(problem.fitness(solved[np.newaxis])[0])
+
+    result = minimize(pso, problem.fitness, polish=polish)
     return problem.decode(result.best_position), result

@@ -98,8 +98,10 @@ def test_criterion_4_pso_convergence():
     ]
     counts = {}
     swarm_counts = {}
+    stop_counts = {}
     for name, problem in cases:
         hits = swarm_hits = 0
+        stops = {"solve": 0, "target": 0, "budget": 0}
         for seed in range(10):
             config = default_pso_config(problem, seed=seed)
             assert config.swarm_size == 30
@@ -109,11 +111,14 @@ def test_criterion_4_pso_convergence():
             _, result = tune(problem, config)
             hits += result.best_fitness < 1e-3
             swarm_hits += result.swarm_fitness < 1e-3
+            stops[result.stop_reason] += 1
         counts[name] = hits
         swarm_counts[name] = swarm_hits
+        stop_counts[name] = ", ".join(f"{reason} {n}" for reason, n in stops.items())
     ok = all(hits >= 9 for hits in counts.values())
     detail = "; ".join(
-        f"{name}: {hits}/10 (swarm alone {swarm_counts[name]}/10)"
+        f"{name}: {hits}/10 (swarm alone {swarm_counts[name]}/10; "
+        f"stops: {stop_counts[name]})"
         for name, hits in counts.items()
     )
     report(4, ok, detail + " (need >= 9/10 each)")

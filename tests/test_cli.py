@@ -47,6 +47,18 @@ class TestValidation:
         assert code == 1
         assert "zeta" in capsys.readouterr().err
 
+    def test_overflowing_spec_names_trise(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            FRACTIONAL_PLANT.replace("zeta: 0.65\n  omega0: 2.2", "mp: 0.1\n  trise: 1.0e-320"),
+        )
+        code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "trise" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_plant(self, tmp_path, capsys):
         config = write_config(tmp_path, "spec: {zeta: 0.5, omega0: 1.0}\n")
         code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -239,6 +251,13 @@ class TestTune:
         history = fractional["fitness_history"]
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert history[-1] == fractional["fitness"] <= fractional["swarm_fitness"]
+        stdout = capsys.readouterr().out
+        text = (out / "tune_report.txt").read_text()
+        for mode in ("integer", "fractional"):
+            reason = report["results"][mode]["stop_reason"]
+            assert reason in ("solve", "target", "budget")
+            assert f"(stop: {reason})" in stdout
+        assert text.count("stop reason = ") == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["command"] == "tune"

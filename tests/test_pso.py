@@ -1,14 +1,14 @@
 """Tests for the particle swarm optimizer."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from fopid import benchmarks
 from fopid.pso import PsoConfig, Swarm, initialize, minimize, step
-from fopid.tuning import default_pso_config
+from fopid.tuning import default_pso_config, solve_gains
 
 
 def sphere(positions):
@@ -77,8 +77,8 @@ def reference_step(particles, best_position, best_fitness, config, rng, fitness)
     return best_position, best_fitness
 
 
-def reference_minimize(config, fitness):
-    """Returns (best_position, best_fitness, fitness_history)."""
+def reference_minimize(config, fitness, polish=None):
+    """Returns (best_position, best_fitness, fitness_history, swarm_fitness, stop_reason)."""
     rng = np.random.default_rng(config.seed)
     span = config.upper_bounds - config.lower_bounds
     particles = []
@@ -95,23 +95,64 @@ def reference_minimize(config, fitness):
             best_fitness = particle.best_fitness
             best_position = particle.best_position.copy()
     history = [best_fitness]
-    while len(history) <= config.max_iterations and best_fitness > config.target_fitness:
+    polished = polish(best_position) if polish else None
+    stop_reason = "budget"
+    for _ in range(config.max_iterations + 1):
+        if polished and polished[1] <= config.target_fitness and polished[1] < best_fitness:
+            stop_reason = "solve"
+            break
+        if best_fitness <= config.target_fitness:
+            stop_reason = "target"
+            break
+        if len(history) > config.max_iterations:
+            break
         best_position, best_fitness = reference_step(
             particles, best_position, best_fitness, config, rng, fitness
         )
         history.append(best_fitness)
-    return best_position, best_fitness, history
+        if polish and history[-1] < history[-2]:
+            polished = polish(best_position)
+    swarm_fitness = best_fitness
+    if polished and polished[1] < best_fitness:
+        best_position, best_fitness = polished
+        history[-1] = best_fitness
+    return best_position, best_fitness, history, swarm_fitness, stop_reason
 
 
-def assert_matches_reference(config, fitness):
-    expected_position, expected_fitness, expected_history = reference_minimize(
-        config, fitness
+def assert_matches_reference(config, fitness, polish=None):
+    position, best, history, swarm_fitness, stop_reason = reference_minimize(
+        config, fitness, polish
     )
-    result = minimize(config, fitness)
-    assert result.best_position.tobytes() == expected_position.tobytes()
-    assert result.best_fitness == expected_fitness
-    assert result.fitness_history == expected_history
-    assert result.iterations_run == len(expected_history) - 1
+    result = minimize(config, fitness, polish=polish)
+    assert result.best_position.tobytes() == position.tobytes()
+    assert result.best_fitness == best
+    assert result.fitness_history == history
+    assert result.iterations_run == len(history) - 1
+    assert result.swarm_fitness == swarm_fitness
+    assert result.stop_reason == stop_reason
+
+
+def halve_if_positive(positions_seen):
+    """A polish for sphere: x/2 when x[0] > 0, else nothing; records its inputs."""
+
+    def polish(position):
+        positions_seen.append(position.copy())
+        if position[0] <= 0.0:
+            return None
+        half = position / 2.0
+        return half, one_row(sphere, half)
+
+    return polish
+
+
+def gain_polish(problem):
+    """tune()'s polish: solve (ti, td), then one fitness row at the solved point."""
+
+    def polish(position):
+        solved = solve_gains(position, problem)
+        return None if solved is None else (solved, one_row(problem.fitness, solved))
+
+    return polish
 
 
 class TestConfigValidation:
@@ -339,3 +380,59 @@ class TestMinimize:
     def test_matches_reference_on_bundled_problems(self, make, mode, seed):
         problem = make(mode)
         assert_matches_reference(default_pso_config(problem, seed=seed), problem.fitness)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("target", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_on_sphere(self, seed, target):
+        config = make_config(max_iterations=150, target_fitness=target, seed=seed)
+        assert_matches_reference(config, sphere, halve_if_positive([]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["fractional", "integer"])
+    @pytest.mark.parametrize(
+        "make", [benchmarks.fractional_problem, benchmarks.servo_problem]
+    )
+    def test_matches_reference_on_bundled_problems(self, make, mode, seed):
+        problem = make(mode)
+        config = default_pso_config(problem, seed=seed)
+        assert_matches_reference(config, problem.fitness, gain_polish(problem))
+
+    def test_called_on_first_gbest_and_each_improvement(self):
+        # A polish that never meets the target leaves the swarm's run
+        # bit-identical, apart from a lower final point replacing the last entry.
+        config = make_config(max_iterations=80, target_fitness=0.0, seed=5)
+        seen = []
+        result = minimize(config, sphere, polish=halve_if_positive(seen))
+        history = result.fitness_history[:-1] + [result.swarm_fitness]
+        improvements = sum(b < a for a, b in zip(history, history[1:]))
+        assert len(seen) == 1 + improvements
+        plain = minimize(config, sphere)
+        assert result.stop_reason == plain.stop_reason == "budget"
+        assert result.iterations_run == plain.iterations_run == 80
+        assert result.swarm_fitness == plain.best_fitness
+        assert result.fitness_history[:-1] == plain.fitness_history[:-1]
+        assert result.best_fitness <= plain.best_fitness
+
+    def test_solve_stop_needs_target_and_improvement(self):
+        # Polished points that meet the target but are not below gbest, or
+        # are below gbest but miss the target, never stop the run.
+        config = make_config(max_iterations=30, target_fitness=0.5, seed=9)
+        plain = minimize(config, sphere)
+        not_lower = minimize(config, sphere, polish=lambda x: (x, one_row(sphere, x)))
+        missing = minimize(config, sphere, polish=lambda x: (x / 2, 0.75))
+        for result in (not_lower, missing):
+            assert result.stop_reason == plain.stop_reason
+            assert result.fitness_history == plain.fitness_history
+            assert result.best_position.tobytes() == plain.best_position.tobytes()
+
+    def test_stop_reasons(self):
+        config = make_config(max_iterations=50, target_fitness=1e-2, seed=10)
+        assert minimize(config, sphere).stop_reason == "target"
+        assert minimize(replace(config, target_fitness=0.0), sphere).stop_reason == "budget"
+        solved = minimize(config, sphere, polish=lambda x: (x * 0.0, 0.0))
+        assert solved.stop_reason == "solve"
+        assert solved.iterations_run == 0
+        assert solved.fitness_history == [0.0]
+        assert solved.best_fitness == 0.0 < solved.swarm_fitness

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fopid import benchmarks
+from fopid import benchmarks, tuning
 from fopid.cpower import cpow
 from fopid.plant import ControllerParams, FractionalPolynomial, FractionalTransferFunction
 from fopid.pso import PsoConfig, minimize
@@ -19,7 +19,6 @@ from fopid.tuning import (
     ParameterBounds,
     ResidualValue,
     TuningProblem,
-    _phase,
     default_pso_config,
     poles_from_damping,
     residual,
@@ -119,6 +118,9 @@ class TestDesignSpec:
             ({"zeta": 0.0, "omega0": 2.0}, "zeta"),
             ({"zeta": 0.5, "omega0": -1.0}, "omega0"),
             ({"zeta": 0.5, "omega0": math.inf}, "finite"),
+            ({"zeta": 0.5, "omega0": math.inf}, "omega0"),
+            # Finite inputs whose natural frequency overflows.
+            ({"mp": 0.1, "trise": 1e-320}, "trise"),
         ],
     )
     def test_range_checked_when_built(self, values, field_name):
@@ -218,13 +220,32 @@ class TestResidual:
         # The lower pole's logarithm is the exact conjugate of the upper's.
         assert problem.log_poles[1] == problem.log_poles[0].conjugate()
 
+        # The box is stored once too, read-only.
+        for stored, expected in zip(problem.box, problem.bounds.vectors(problem.mode)):
+            assert np.array_equal(stored, expected)
+            assert not stored.flags.writeable
+        config = default_pso_config(problem, max_iterations=3)
+
         def evaluate(self, s):
             raise AssertionError("plant evaluated after construction")
 
+        def vectors(self, mode):
+            raise AssertionError("bound vectors rebuilt after construction")
+
         monkeypatch.setattr(FractionalPolynomial, "evaluate", evaluate)
+        monkeypatch.setattr(ParameterBounds, "vectors", vectors)
         residual(FRACTIONAL_PARAMS, problem)
         residual(FRACTIONAL_PARAMS, problem, conjugate=True)
-        tune(problem, default_pso_config(problem, max_iterations=3))
+        tune(problem, config)
+
+
+def scalar_phase(r, i):
+    """Reference: atan(i/r), 0 at the origin and +/-pi/2 on r = 0, in scalar math."""
+    if r == 0.0:
+        if i == 0.0:
+            return 0.0
+        return math.copysign(math.pi / 2.0, i)
+    return math.atan(i / r)
 
 
 def cpow_residual(params, problem, conjugate=False):
@@ -237,7 +258,7 @@ def cpow_residual(params, problem, conjugate=False):
     )
     expression = den_value + gc_value * num_value
     r, i = expression.real, expression.imag
-    p = _phase(r, i)
+    p = scalar_phase(r, i)
     return ResidualValue(r=r, i=i, p=p, f=abs(r) + abs(i) + abs(p))
 
 
@@ -320,7 +341,7 @@ class TestFitnessKernel:
                 values = problem.fitness(positions)
                 value = residual(problem.decode(positions[1]), problem)
                 assert value.r == 0.0
-                assert value.p == phase == _phase(value.r, value.i)
+                assert value.p == phase == scalar_phase(value.r, value.i)
                 assert value.f == abs(value.i) + abs(phase)
                 assert values[1] == values[2] == value.f
                 assert values[0] == residual(problem.decode(positions[0]), problem).f
@@ -443,6 +464,33 @@ def assert_tune_contracts(problem, params, result):
     assert np.all((lower <= result.best_position) & (result.best_position <= upper))
 
 
+def first_solve_meeting_target(problem, config):
+    """(iteration, point, fitness) of the first gbest whose solve meets the target.
+
+    Walks minimize()'s own run: the gbest after initialization and at every
+    iteration where it strictly improves, solved and evaluated one at a time.
+    """
+    gbests = []
+
+    def record(position):
+        gbests.append(position.copy())
+        return None
+
+    history = minimize(config, problem.fitness, polish=record).fitness_history
+    improved_at = [0] + [
+        k for k in range(1, len(history)) if history[k] < history[k - 1]
+    ]
+    assert len(improved_at) == len(gbests)
+    for iteration, position in zip(improved_at, gbests):
+        solved = solve_gains(position, problem)
+        if solved is None:
+            continue
+        value = residual(problem.decode(solved), problem).f
+        if value < history[iteration] and value <= config.target_fitness:
+            return iteration, solved, value
+    raise AssertionError("no solve met the target")
+
+
 class TestSolveGains:
     def test_solved_point_hits_real_target(self):
         problem = benchmarks.fractional_problem("fractional")
@@ -466,45 +514,84 @@ class TestSolveGains:
         )
         assert solve_gains(position, narrowed) is None
 
-    def test_falls_back_to_swarm_point_outside_box(self):
-        # Servo plant, fractional mode, seed 0: the solve wants td just below
-        # its lower bound 1, so tune() must return minimize()'s result as is.
-        problem = benchmarks.servo_problem("fractional")
+    def test_falls_back_to_swarm_point_outside_box(self, monkeypatch):
+        # With ti held to a sliver of its range, the solve leaves the box at
+        # every gbest, so tune() must return minimize()'s result as is.
+        problem = replace(
+            benchmarks.servo_problem("fractional"),
+            bounds=ParameterBounds(ti=(1.0, 1.0 + 1e-9)),
+        )
         config = default_pso_config(problem, seed=0)
-        swarm = minimize(config, problem.fitness)
-        assert solve_gains(swarm.best_position, problem) is None
+        solves = []
+
+        def recording(position, problem):
+            solves.append(solve_gains(position, problem))
+            return solves[-1]
+
+        monkeypatch.setattr(tuning, "solve_gains", recording)
         params, result = tune(problem, config)
-        assert np.array_equal(result.best_position, swarm.best_position)
+        swarm = minimize(config, problem.fitness)
+        assert solves and all(solved is None for solved in solves)
+        assert result.best_position.tobytes() == swarm.best_position.tobytes()
         assert result.best_fitness == swarm.best_fitness == result.swarm_fitness
         assert result.fitness_history == swarm.fitness_history
         assert result.iterations_run == swarm.iterations_run
+        assert result.stop_reason == swarm.stop_reason == "budget"
         assert_tune_contracts(problem, params, result)
 
     def test_never_raises_fitness(self):
-        # This integer-mode run stops below the 1e-6 target, under the floor
-        # the solve reaches, so the swarm's point must be kept.
+        # The swarm alone reaches the 1e-6 target on this run; the solve stop
+        # ends it earlier, on a point below the gbest it came from, without
+        # changing the swarm's history up to there.
         problem = benchmarks.fractional_problem("integer")
         config = default_pso_config(problem, seed=0)
         swarm = minimize(config, problem.fitness)
         assert swarm.best_fitness <= config.target_fitness
         params, result = tune(problem, config)
-        assert result.best_fitness <= swarm.best_fitness
-        assert result.swarm_fitness == swarm.best_fitness
+        assert result.stop_reason == "solve"
+        assert result.iterations_run < swarm.iterations_run
+        last = result.iterations_run
+        assert result.fitness_history[:-1] == swarm.fitness_history[:last]
+        assert result.swarm_fitness == swarm.fitness_history[last]
+        assert result.best_fitness < result.swarm_fitness
+        assert result.best_fitness <= config.target_fitness
         assert_tune_contracts(problem, params, result)
 
     def test_kept_solution_meets_contracts(self):
-        for problem in (
-            benchmarks.fractional_problem("fractional"),
-            benchmarks.servo_problem("integer"),
-        ):
-            config = default_pso_config(problem, seed=1, swarm_size=15, max_iterations=60)
-            swarm = minimize(config, problem.fitness)
-            params, result = tune(problem, config)
-            assert result.best_fitness < swarm.best_fitness
-            assert result.swarm_fitness == swarm.best_fitness
-            assert result.iterations_run == swarm.iterations_run
-            assert result.fitness_history[:-1] == swarm.fitness_history[:-1]
-            assert_tune_contracts(problem, params, result)
+        # No solve on this run meets the target (the servo's solves land near
+        # f = 6e-6), so the swarm runs its budget and the solve from its last
+        # gbest replaces it, as a separate step after minimize() would.
+        problem = benchmarks.servo_problem("integer")
+        config = default_pso_config(problem, seed=1, swarm_size=15, max_iterations=60)
+        swarm = minimize(config, problem.fitness)
+        params, result = tune(problem, config)
+        assert result.stop_reason == swarm.stop_reason == "budget"
+        solved = solve_gains(swarm.best_position, problem)
+        assert result.best_position.tobytes() == solved.tobytes()
+        assert result.best_fitness < swarm.best_fitness
+        assert result.swarm_fitness == swarm.best_fitness
+        assert result.iterations_run == swarm.iterations_run
+        assert result.fitness_history[:-1] == swarm.fitness_history[:-1]
+        assert_tune_contracts(problem, params, result)
+
+    @pytest.mark.parametrize(
+        "problem, seed",
+        [(benchmarks.fractional_problem("fractional"), 1), (benchmarks.servo_problem("integer"), 2)],
+        ids=["fractional-fractional", "servo-integer"],
+    )
+    def test_stops_at_first_solve_meeting_target(self, problem, seed):
+        config = default_pso_config(problem, seed=seed, swarm_size=15, max_iterations=60)
+        stop_at, solved, solved_fitness = first_solve_meeting_target(problem, config)
+        params, result = tune(problem, config)
+        assert result.stop_reason == "solve"
+        assert result.iterations_run == stop_at
+        assert result.best_position.tobytes() == solved.tobytes()
+        assert result.best_fitness == solved_fitness <= config.target_fitness
+        assert result.best_fitness < result.swarm_fitness
+        swarm = minimize(config, problem.fitness)
+        assert result.fitness_history[:-1] == swarm.fitness_history[:stop_at]
+        assert result.swarm_fitness == swarm.fitness_history[stop_at]
+        assert_tune_contracts(problem, params, result)
 
     def test_deterministic_for_fixed_seed(self):
         problem = benchmarks.servo_problem("fractional")
@@ -515,3 +602,4 @@ class TestSolveGains:
         assert np.array_equal(first.best_position, second.best_position)
         assert first.fitness_history == second.fitness_history
         assert first.swarm_fitness == second.swarm_fitness
+        assert first.stop_reason == second.stop_reason
