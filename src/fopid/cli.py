@@ -41,6 +41,8 @@ CONFIG_KEYS = {
 }
 PSO_KEYS = {"swarm_size", "iterations", "seed", "target_fitness"}
 SIM_KEYS = {"time_step", "horizon", "memory_length"}
+# The libyaml parser, where PyYAML was built with it, is four to five times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -186,7 +188,7 @@ def load_config(path: str | Path) -> JobConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(raw_bytes)
+        data = yaml.load(raw_bytes, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -18,6 +18,33 @@ depth; by default the full history is kept.
 The step input is sampled with zero pre-history (r_k = 1 for k >= 0), so
 numerator derivative orders produce a known impulsive transient in the first
 few samples rather than being smoothed away.
+
+The samples are solved in leaves of LEAF consecutive steps rather than one
+at a time. For each leaf:
+
+1. The history of every sample before the leaf is subtracted in one
+   ``np.correlate`` against the reversed denominator weights, padded with
+   LEAF zeros so that lags past the memory window weigh nothing. Each of
+   its dot products runs oldest sample first, the order of the per-sample
+   ``np.dot`` recursion. The weights are of order h^-alpha and cancel to
+   outputs of order 1; summed newest first, the small old terms are lost
+   against partial sums of about 1e11.
+2. The leaf's lower-triangular Toeplitz system is solved with the series
+   inverse of the first LEAF weights, computed once per simulation in
+   ``np.longdouble`` by Newton doubling.
+3. One refinement step follows, with its residual formed in
+   ``np.longdouble``; in float64 that residual keeps too few digits to help.
+
+Measured against the same recursion in ``np.longdouble`` on the same
+float64 weights, the result is as accurate as the per-sample recursion in
+float64: at most 1.6 times its error and 0.3 times in the median, over 78
+bundled, tuned and random closed loops at 3 s.
+
+A leaf that is non-finite, or whose max |y| reaches
+DBL_MAX / (2 * (sum |den weights| + max |forced side|)), is solved again with
+the per-sample recursion, and so is every later leaf. Below that size no
+partial sum of the recursion can overflow, so a divergence is reported at
+the recursion's own first non-finite sample.
 """
 
 from __future__ import annotations
@@ -29,12 +56,15 @@ import numpy as np
 
 from .plant import FractionalTransferFunction
 
+# Samples per leaf of the step solve (module docstring).
+LEAF = 128
 MAX_STEPS = 10_000_000
 # Cap on steps x memory, which sets the run's cost: the history sum takes
 # about steps x memory multiply-adds (half that at full memory). The largest
 # bundled or benchmarked run, 5e4 samples at full memory, is 2.5e9. On a
-# 2-core VM a full-memory run at the cap (about 1e5 samples) took about 1 s;
-# MAX_STEPS alone would let a full-memory run take hours.
+# 2-core VM a full-memory run at the cap (about 1e5 samples) took 1.1-1.6 s
+# with one BLAS thread and about 0.95 s with two; MAX_STEPS alone would let a
+# full-memory run take hours.
 MAX_STEP_MEMORY_PRODUCT = 10**10
 
 
@@ -133,6 +163,23 @@ def _combined_weights(
     return total
 
 
+def _series_inverse(weights: np.ndarray) -> np.ndarray:
+    """First len(weights) coefficients of 1 / sum_j weights[j] z^j.
+
+    Newton doubling, g <- g + g (1 - D g) mod z^size, in the dtype of
+    ``weights``.
+    """
+    inverse = weights[:1] ** -1
+    size = 1
+    while size < len(weights):
+        size = min(2 * size, len(weights))
+        error = -np.convolve(weights[:size], inverse)[:size]
+        error[0] += 1
+        inverse = np.concatenate((inverse, np.zeros(size - len(inverse), weights.dtype)))
+        inverse += np.convolve(inverse, error)[:size]
+    return inverse
+
+
 def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepResponse:
     """Unit-step response of a fractional transfer function from rest.
 
@@ -145,26 +192,57 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     h = cfg.time_step
     n = cfg.steps
     lag = cfg.memory
-    m = lag + 1
-    den_weights = _combined_weights(tf.denominator.terms, h, m)
-    num_weights = _combined_weights(tf.numerator.terms, h, m)
+    den_weights = _combined_weights(tf.denominator.terms, h, lag + 1)
+    num_weights = _combined_weights(tf.numerator.terms, h, lag + 1)
     if den_weights[0] == 0.0:
         raise ValueError("isolation coefficient sum(a_i * h^-alpha_i) is zero")
     # Unit step input: the forced side at step k is the prefix sum of the
     # input weights, saturating once the memory window is full.
     forced = np.cumsum(num_weights)
-    den_rev = den_weights[::-1].copy()  # den_rev[m-1-j] = den_weights[j]
+    # den_rev[end - j] = den_weights[j]. The LEAF leading zeros give no
+    # weight to lags past the memory window.
+    den_rev = np.concatenate((np.zeros(LEAF), den_weights[::-1]))
+    end = len(den_rev) - 1
+    leaf_den = den_rev[: end - LEAF : -1].astype(np.longdouble)
     y = np.zeros(n)
-    w0 = den_weights[0]
     # An overflow shows up as a non-finite sample, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            kk = min(k, lag)
-            history = np.dot(den_rev[m - 1 - kk : m - 1], y[k - kk : k]) if kk else 0.0
-            value = (forced[kk] - history) / w0
-            if not math.isfinite(value):
-                raise SimulationDiverged(
-                    k, StepResponse(time_step=h, samples=y[:k].copy())
-                )
-            y[k] = value
+        # Below this size no partial sum of the recursion can overflow, so a
+        # leaf that reaches it is handed to the recursion, which finds the
+        # first bad sample.
+        limit = np.finfo(float).max / (2 * (np.abs(den_weights).sum() + np.abs(forced).max()))
+        inverse = _series_inverse(leaf_den).astype(float)
+        for start in range(0, n, LEAF):
+            stop = min(start + LEAF, n)
+            size = stop - start
+            rhs = forced[np.minimum(np.arange(start, stop), lag)]
+            if start:
+                # Output start + t is the dot of y[first:start], oldest
+                # sample first, with den_weights[start + t - first] down to
+                # den_weights[t + 1].
+                first = max(0, start - lag)
+                window = den_rev[end + 1 - start - size + first : end]
+                rhs = rhs - np.correlate(window, y[first:start], "valid")[::-1]
+            leaf = np.convolve(inverse[:size], rhs)[:size]
+            residual = rhs - np.convolve(leaf_den[:size], leaf)[:size]
+            leaf += np.convolve(inverse[:size], residual.astype(float))[:size]
+            if not np.max(np.abs(leaf)) < limit:
+                _recurse(y, start, den_rev, forced, lag, h)
+                break
+            y[start:stop] = leaf
     return StepResponse(time_step=h, samples=y)
+
+
+def _recurse(
+    y: np.ndarray, start: int, den_rev: np.ndarray, forced: np.ndarray, lag: int, h: float
+) -> None:
+    """Fill y[start:] one sample at a time, raising on the first non-finite one."""
+    end = len(den_rev) - 1
+    w0 = den_rev[end]
+    for k in range(start, len(y)):
+        kk = min(k, lag)
+        history = np.dot(den_rev[end - kk : end], y[k - kk : k]) if kk else 0.0
+        value = (forced[kk] - history) / w0
+        if not math.isfinite(value):
+            raise SimulationDiverged(k, StepResponse(time_step=h, samples=y[:k].copy()))
+        y[k] = value

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestValidation:
         code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "plant" in capsys.readouterr().err
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        config = write_config(tmp_path, FRACTIONAL_PLANT.replace("mode: both", "mode: [both"))
+        code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not valid YAML" in err
+        assert re.search(r"line \d+", err)
+        assert "Traceback" not in err
 
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["tune", "--config", str(tmp_path / "missing.yaml")])

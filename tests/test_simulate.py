@@ -1,15 +1,19 @@
 """Tests for the Grunwald-Letnikov step simulator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fopid import benchmarks
 from fopid.plant import ControllerParams, FractionalTransferFunction, closed_loop, controller_tf
 from fopid.simulate import (
+    LEAF,
     MAX_STEP_MEMORY_PRODUCT,
     SimConfig,
     SimulationDiverged,
+    _combined_weights,
     gl_derivative,
     gl_weights,
     simulate_step,
@@ -251,3 +255,131 @@ class TestGlDerivative:
     def test_zero_order_is_identity(self):
         x = np.array([0.3, -1.2, 4.0])
         assert np.array_equal(gl_derivative(x, 0.0, 0.1), x)
+
+
+def reference_step(tf, cfg, dtype=float):
+    """The per-sample recursion that the leaf solve replaced, kept as a reference.
+
+    With ``dtype=np.longdouble`` it runs on the same float64 weights in
+    extended precision, which makes it the truth both float64 solvers are
+    measured against. Returns the samples (the finite prefix on divergence)
+    and the first non-finite index, or None.
+    """
+    lag = cfg.memory
+    den = _combined_weights(tf.denominator.terms, cfg.time_step, lag + 1).astype(dtype)
+    num = _combined_weights(tf.numerator.terms, cfg.time_step, lag + 1).astype(dtype)
+    forced = np.cumsum(num)
+    den_rev = den[::-1].copy()
+    y = np.zeros(cfg.steps, dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.steps):
+            kk = min(k, lag)
+            history = np.dot(den_rev[lag - kk : lag], y[k - kk : k]) if kk else 0.0
+            value = (forced[kk] - history) / den[0]
+            if not np.isfinite(value):
+                return y[:k], k
+            y[k] = value
+    return y, None
+
+
+def simulate_or_partial(tf, cfg):
+    try:
+        return simulate_step(tf, cfg).samples, None
+    except SimulationDiverged as exc:
+        return exc.partial.samples, exc.first_bad_index
+
+
+REFERENCE_CONTROLLERS = {
+    "fractional_plant/integer": (
+        benchmarks.fractional_plant, ControllerParams(214.84, 361.57, 76.76, 1.0, 1.0)
+    ),
+    "fractional_plant/fractional": (
+        benchmarks.fractional_plant, ControllerParams(442.68, 324.03, 115.27, 1.5, 1.41)
+    ),
+    "servo_plant/integer": (benchmarks.servo_plant, ControllerParams(3.2, 5.41, 1.0, 1.0, 1.0)),
+    "servo_plant/fractional": (
+        benchmarks.servo_plant, ControllerParams(32.01, 10.14, 9.71, 1.19, 1.36)
+    ),
+}
+REFERENCE_LOOPS = {
+    label: closed_loop(controller_tf(params), make_plant())
+    for label, (make_plant, params) in REFERENCE_CONTROLLERS.items()
+}
+
+
+class TestLeafSolve:
+    # fractional_plant/fractional is left out: its recursion is off the
+    # longdouble truth by about 3e-8, so any change of summation order moves
+    # it by a few 1e-9. The accuracy gate below covers it.
+    @pytest.mark.parametrize(
+        "label", ["fractional_plant/integer", "servo_plant/integer", "servo_plant/fractional"]
+    )
+    def test_leaf_edges_match_recursion(self, label):
+        h = 1e-3
+        for steps in (LEAF // 2, LEAF, LEAF + 1, 7 * LEAF + 105):
+            for memory in (None, 1, 5, LEAF - 1, LEAF, LEAF + 1, 500):
+                cfg = SimConfig(time_step=h, horizon=(steps - 1) * h, memory_length=memory)
+                assert cfg.steps == steps
+                got, bad = simulate_or_partial(REFERENCE_LOOPS[label], cfg)
+                expected, expected_bad = reference_step(REFERENCE_LOOPS[label], cfg)
+                assert bad == expected_bad, (steps, memory)
+                assert len(got) == len(expected)
+                assert np.all(
+                    np.abs(got - expected) <= 1e-9 * np.maximum(np.abs(expected), 1.0)
+                ), (steps, memory)
+
+    @pytest.mark.parametrize(
+        "tf",
+        [FIRST_ORDER, second_order(0.65, 2.2), *REFERENCE_LOOPS.values()],
+        ids=["first_order", "second_order", *REFERENCE_LOOPS],
+    )
+    def test_error_within_ten_times_recursion(self, tf):
+        # Both float64 solvers against the longdouble recursion, relative to
+        # max |y|; the leaf solve may be at most 10x worse than the recursion.
+        cfg = SimConfig(time_step=1e-3, horizon=3.0)
+        truth, _ = reference_step(tf, cfg, np.longdouble)
+        recursion, _ = reference_step(tf, cfg)
+        scale = np.max(np.abs(truth))
+        leaf_error = float(np.max(np.abs(simulate_step(tf, cfg).samples - truth)) / scale)
+        recursion_error = float(np.max(np.abs(recursion - truth)) / scale)
+        assert leaf_error <= 10 * recursion_error
+
+    def test_history_summed_oldest_first(self):
+        # Summing each history newest first, as a plain np.convolve does,
+        # drops the small old terms against partial sums of about 1e11: here
+        # it drifts 3.8e-8 from the recursion, against 6e-9 oldest first. At
+        # 10 s no history dot is longer than 1e4, so a threaded BLAS still
+        # sums it in one pass.
+        tf = REFERENCE_LOOPS["fractional_plant/fractional"]
+        cfg = SimConfig(time_step=1e-3, horizon=10.0)
+        expected, _ = reference_step(tf, cfg)
+        got = simulate_step(tf, cfg).samples
+        assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1.0)) < 1.5e-8
+
+    def test_divergence_index_matches_recursion(self):
+        # Negative gains on both plants. Without the guard on max |y| before
+        # overflow, a leaf that overflows inside its solve, not in the
+        # recursion, reports its own first bad index (2048 for 2037 here).
+        rng = np.random.default_rng(7)
+        draws = [
+            ControllerParams(
+                -rng.uniform(1, 1e4), rng.uniform(1, 500), rng.uniform(1, 500),
+                rng.uniform(0, 2), rng.uniform(0, 2),
+            )
+            for _ in range(40)
+        ]
+        diverged = 0
+        for label in ("fractional_plant/fractional", "servo_plant/fractional"):
+            make_plant, params = REFERENCE_CONTROLLERS[label]
+            # At kp = -3.2e6 the leaf series inverse reaches 1.6e72 on the
+            # fractional plant, and the leaf solve overflows to inf - inf.
+            for controller in (*draws, replace(params, kp=-3.2e6)):
+                tf = closed_loop(controller_tf(controller), make_plant())
+                for memory in (None, 200):
+                    cfg = SimConfig(time_step=1e-3, horizon=3.0, memory_length=memory)
+                    got, bad = simulate_or_partial(tf, cfg)
+                    expected, expected_bad = reference_step(tf, cfg)
+                    assert bad == expected_bad, (controller, memory)
+                    assert len(got) == len(expected)
+                    diverged += bad is not None
+        assert diverged == 28
