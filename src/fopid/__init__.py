@@ -7,7 +7,6 @@ particle swarm optimizer, and verifying designs through Grunwald-Letnikov
 time-domain step simulation and response metrics.
 """
 
-from .cpower import cpow, polar
 from .plant import (
     ControllerParams,
     FractionalPolynomial,
@@ -31,7 +30,6 @@ from .simulate import (
     SimConfig,
     SimulationDiverged,
     StepResponse,
-    gl_derivative,
     gl_weights,
     simulate_step,
 )
@@ -57,11 +55,8 @@ __all__ = [
     "analyze",
     "closed_loop",
     "controller_tf",
-    "cpow",
-    "gl_derivative",
     "gl_weights",
     "minimize",
-    "polar",
     "poles_from_damping",
     "residual",
     "simulate_step",

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -351,11 +352,11 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
     overrides["seed"] = used_seed
 
     results = {}
-    target = overrides.get("target_fitness", 1e-6)
     all_converged = True
     for run_mode in modes:
         problem = _resolve_problem(config, run_mode)
         pso_config = default_pso_config(problem, **overrides)
+        target = pso_config.target_fitness
         params, swarm = tune(problem, pso_config)
         converged = swarm.best_fitness <= target
         all_converged &= converged
@@ -409,7 +410,9 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
     for label, params in controllers:
         curves.append((label, closed_loop(controller_tf(params), config.plant)))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Every curve is simulated before anything is written, so that an input
+    # error leaves no partial output.
+    responses = {}
     report = {}
     for label, tf in curves:
         diverged_at = None
@@ -420,11 +423,14 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
             response = exc.partial
             diverged_at = exc.first_bad_index
             metrics = ResponseMetrics(math.nan, math.nan, math.nan, math.nan, stable=False)
-        _write_csv(out_dir / f"response_{label}.csv", response)
+        responses[label] = response
         entry = _metrics_dict(metrics)
         entry["diverged_at_sample"] = diverged_at
         report[label] = entry
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for label, response in responses.items():
+        _write_csv(out_dir / f"response_{label}.csv", response)
     _write_manifest(out_dir, "simulate", config, None, config.mode)
     _write_json(out_dir / "metrics.json", report)
 
@@ -461,7 +467,14 @@ def cmd_verify(config: JobConfig, out_dir: Path, params_path) -> int:
     for label, params in controllers:
         entries = {}
         for pole_name, conjugate in (("upper", False), ("lower", True)):
-            value = residual(params, problem, conjugate=conjugate)
+            # Huge gains overflow to inf or nan, which is refused below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = residual(params, problem, conjugate=conjugate)
+            if not math.isfinite(value.f):
+                raise ConfigError(
+                    f"controller {label!r}: the residual at the {pole_name} pole is not "
+                    "finite; its parameters are too large"
+                )
             entries[pole_name] = {"r": value.r, "i": value.i, "p": value.p, "f": value.f}
             print(
                 f"{label} @ {pole_name} pole: R={value.r:.6g} I={value.i:.6g} "

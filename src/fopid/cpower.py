@@ -1,29 +1,17 @@
-"""Principal-branch powers and polar decomposition of complex numbers."""
+"""Principal-branch powers of complex numbers."""
 
 from __future__ import annotations
 
 import math
 
 
-def polar(z: complex) -> tuple[float, float]:
-    """Return (magnitude, argument) of ``z`` with the argument in (-pi, pi].
-
-    The argument of 0 is defined as 0. ``atan2`` can return exactly -pi for
-    inputs on the negative real axis with a negative-zero imaginary part;
-    that value is folded to +pi so the interval stays half-open.
-    """
-    magnitude = abs(z)
-    argument = math.atan2(z.imag, z.real)
-    if argument == -math.pi:
-        argument = math.pi
-    return magnitude, argument
-
-
 def cpow(z: complex, alpha: float) -> complex:
     """Raise ``z`` to the real power ``alpha`` on the principal branch.
 
     Computed in polar form: |z|**alpha * (cos(alpha*arg z) + j sin(alpha*arg z))
-    with arg z in (-pi, pi].
+    with arg z in (-pi, pi]. ``atan2`` gives exactly -pi on the negative real
+    axis when the imaginary part is -0.0; that argument is folded to +pi, so
+    cpow(-4 - 0j, 0.5) is +2j, not -2j.
 
     Conventions at the origin: cpow(0, alpha) = 0 for alpha > 0, and
     cpow(0, 0) = 1 (useful when evaluating polynomials at s = 0).
@@ -38,7 +26,9 @@ def cpow(z: complex, alpha: float) -> complex:
         if alpha == 0:
             return 1 + 0j
         raise ValueError("0 cannot be raised to a negative power")
-    magnitude, argument = polar(z)
-    scale = magnitude**alpha
+    argument = math.atan2(z.imag, z.real)
+    if argument == -math.pi:
+        argument = math.pi
+    scale = abs(z) ** alpha
     angle = alpha * argument
     return complex(scale * math.cos(angle), scale * math.sin(angle))

@@ -1,4 +1,7 @@
-"""Step-response metrics: overshoot, rise time, settling time, stability."""
+"""Step-response metrics: overshoot, 10-90% rise time, settling time, stability.
+
+Every band and fraction is a module constant; analyze() takes no options.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ from .simulate import StepResponse
 
 # Fraction of trailing samples averaged into the steady-state estimate.
 STEADY_WINDOW = 0.05
+# Fractions of steady state between which the rise time is measured (10-90 %).
+RISE_FRACTIONS = (0.1, 0.9)
 # Settling band around steady state.
 SETTLING_BAND = 0.02
 # Tail flatness band for the stability flag.
@@ -45,19 +50,16 @@ def _first_crossing(times: np.ndarray, samples: np.ndarray, threshold: float) ->
     return float(times[k - 1] + fraction * (times[k] - times[k - 1]))
 
 
-def analyze(
-    resp: StepResponse, rise_fractions: tuple[float, float] = (0.1, 0.9)
-) -> ResponseMetrics:
+def analyze(resp: StepResponse) -> ResponseMetrics:
     """Extract metrics from a sampled step response.
 
     Steady state is the mean of the trailing 5% of samples. Overshoot is the
     excess of the peak over steady state (when steady state is positive).
-    Rise time is measured between the ``rise_fractions`` crossings of steady
-    state (10-90% by default; use (0.0, 1.0) for a 0-100% convention), with
-    linear interpolation between samples. Settling time is the time of the
-    first sample after which the response stays inside the +/-2% band; the
-    stability flag checks that the trailing window sits within +/-5% of
-    steady state.
+    Rise time is measured between the 10% and 90% crossings of steady state
+    (RISE_FRACTIONS), with linear interpolation between samples. Settling
+    time is the time of the first sample after which the response stays
+    inside the +/-2% band; the stability flag checks that the trailing window
+    sits within +/-5% of steady state.
 
     A response containing non-finite samples yields stable=False with every
     other field NaN.
@@ -70,10 +72,6 @@ def analyze(
         raise ValueError("need at least two samples")
     if not np.all(np.isfinite(samples)):
         return ResponseMetrics(math.nan, math.nan, math.nan, math.nan, stable=False)
-    lo_frac, hi_frac = rise_fractions
-    if not 0.0 <= lo_frac < hi_frac <= 1.0:
-        raise ValueError("rise_fractions must satisfy 0 <= low < high <= 1")
-
     times = resp.times
     tail = samples[-max(1, int(round(STEADY_WINDOW * samples.size))) :]
     steady = float(tail.mean())
@@ -81,8 +79,8 @@ def analyze(
 
     if steady > 0:
         overshoot = max(0.0, (float(samples.max()) - steady) / steady * 100.0)
-        t_low = _first_crossing(times, samples, lo_frac * steady)
-        t_high = _first_crossing(times, samples, hi_frac * steady)
+        t_low = _first_crossing(times, samples, RISE_FRACTIONS[0] * steady)
+        t_high = _first_crossing(times, samples, RISE_FRACTIONS[1] * steady)
         rise = t_high - t_low  # NaN propagates if either crossing is missing
     else:
         overshoot = math.nan

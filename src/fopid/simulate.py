@@ -143,24 +143,24 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(1.0 - (1.0 + alpha) / m)))
 
 
-def gl_derivative(
-    samples: np.ndarray, alpha: float, time_step: float, memory: int | None = None
-) -> np.ndarray:
-    """Apply D^alpha to a sampled signal with zero pre-history."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    lag = n - 1 if memory is None else min(memory, n - 1)
-    return time_step**-alpha * np.convolve(samples, gl_weights(alpha, lag + 1))[:n]
-
-
 def _combined_weights(
     terms: tuple[tuple[float, float], ...], h: float, count: int
 ) -> np.ndarray:
-    """Sum of c * h^-e * w^(e) over all polynomial terms."""
+    """Sum of c * h^-e * w^(e) over all polynomial terms.
+
+    Raises:
+        ValueError: if a weight overflows, which names time_step.
+    """
     total = np.zeros(count)
-    for coefficient, exponent in terms:
-        total += coefficient * h**-exponent * gl_weights(exponent, count)
-    return total
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for coefficient, exponent in terms:
+                total += coefficient * h**-exponent * gl_weights(exponent, count)
+        if np.isfinite(total).all():
+            return total
+    except OverflowError:  # from h**-exponent
+        pass
+    raise ValueError(f"time_step {h!r} is too small: the weights c * h^-e overflow")
 
 
 def _series_inverse(weights: np.ndarray) -> np.ndarray:
@@ -185,7 +185,8 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
 
     Raises:
         ValueError: if the output isolation coefficient sum_i a_i h^-alpha_i
-            is zero (the update cannot be solved for y_k).
+            is zero (the update cannot be solved for y_k), or if the weights
+            overflow at this time_step.
         SimulationDiverged: on the first non-finite sample; the exception
             carries the finite prefix.
     """

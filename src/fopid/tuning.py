@@ -34,11 +34,6 @@ DEFAULT_TI_BOUNDS = (1.0, 500.0)
 DEFAULT_TD_BOUNDS = (1.0, 500.0)
 DEFAULT_ORDER_BOUNDS = (0.0, 2.0)
 
-# Componentwise velocity clamp fraction used by tune()'s default optimizer
-# setup. A full-range clamp lets early overshoots pile the swarm onto a
-# bound corner where it stalls; 0.05 measured best on the bundled problems.
-DEFAULT_VELOCITY_FRACTION = 0.05
-
 # Real part the (ti, td) solve aims the residual at, with I = 0. An exact root
 # would leave the phase term atan(I/R) at 0/0, so f would be rounding noise;
 # 5e-7 sits well above the cancellation floor of the residual's terms. A
@@ -183,7 +178,8 @@ class TuningProblem:
     poles once, on construction, as are the box's bound vectors.
 
     Raises:
-        ValueError: if the plant denominator vanishes at a design pole.
+        ValueError: if Dp(p) or Np(p) overflows or is not finite at a design
+            pole, or the plant denominator vanishes there.
     """
 
     plant: FractionalTransferFunction
@@ -208,13 +204,24 @@ class TuningProblem:
             raise ValueError(f"mode must be 'fractional' or 'integer', got {self.mode!r}")
         values = []
         for pole in (self.poles.upper, self.poles.lower):
-            den_value = self.plant.denominator.evaluate(pole)
+            try:
+                den_value = self.plant.denominator.evaluate(pole)
+                num_value = self.plant.numerator.evaluate(pole)
+                den_scale = sum(
+                    abs(c) * abs(pole) ** e for c, e in self.plant.denominator.terms
+                )
+            except OverflowError:
+                den_value = num_value = den_scale = math.inf
+            if not all(map(cmath.isfinite, (den_value, num_value, den_scale))):
+                raise ValueError(
+                    f"the plant overflows at the design pole {pole}: Dp(p) or Np(p) "
+                    "is not finite"
+                )
             # Collision guard: at a (numerical) plant pole the cleared expression
             # no longer represents the characteristic condition.
-            den_scale = sum(abs(c) * abs(pole) ** e for c, e in self.plant.denominator.terms)
             if abs(den_value) <= 1e-12 * den_scale:
                 raise ValueError(f"plant denominator vanishes at the design pole {pole}")
-            values.append((pole, den_value, self.plant.numerator.evaluate(pole)))
+            values.append((pole, den_value, num_value))
         object.__setattr__(self, "plant_at_poles", tuple(values))
         log_poles = (cmath.log(self.poles.upper), cmath.log(self.poles.lower))
         object.__setattr__(self, "log_poles", log_poles)
@@ -317,17 +324,9 @@ def residual(
 
 
 def default_pso_config(problem: TuningProblem, seed: int = 0, **overrides) -> PsoConfig:
-    """Optimizer setup matched to a tuning problem's mode and bounds."""
-    lower, upper = problem.bounds.vectors(problem.mode)
-    settings = dict(
-        dims=problem.dims,
-        lower_bounds=lower,
-        upper_bounds=upper,
-        seed=seed,
-        velocity_limit_fraction=DEFAULT_VELOCITY_FRACTION,
-    )
-    settings.update(overrides)
-    return PsoConfig(**settings)
+    """Optimizer setup over the problem's box; overrides set other PsoConfig fields."""
+    lower, upper = problem.box
+    return PsoConfig(lower_bounds=lower, upper_bounds=upper, seed=seed, **overrides)
 
 
 def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | None:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fopid import benchmarks
+from fopid import benchmarks, pso
 from fopid.cli import main as cli_main
 from fopid.metrics import analyze
 from fopid.plant import ControllerParams, closed_loop, controller_tf
@@ -96,6 +96,9 @@ def test_criterion_4_pso_convergence():
         ("servo-plant fractional", benchmarks.servo_problem("fractional")),
         ("servo-plant integer", benchmarks.servo_problem("integer")),
     ]
+    # The paper's swarm: constriction coefficients of Clerc and Kennedy.
+    assert pso.INERTIA == 0.729
+    assert pso.COGNITIVE == pso.SOCIAL == 1.494
     counts = {}
     swarm_counts = {}
     stop_counts = {}
@@ -106,8 +109,6 @@ def test_criterion_4_pso_convergence():
             config = default_pso_config(problem, seed=seed)
             assert config.swarm_size == 30
             assert config.max_iterations == 500
-            assert config.inertia == 0.729
-            assert config.cognitive == config.social == 1.494
             _, result = tune(problem, config)
             hits += result.best_fitness < 1e-3
             swarm_hits += result.swarm_fitness < 1e-3

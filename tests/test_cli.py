@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from fopid.cli import load_config, main
+from fopid.pso import PsoConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,6 +58,20 @@ class TestValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert "trise" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["tune", "verify"])
+    def test_overflowing_design_pole(self, tmp_path, capsys, command):
+        # omega0 is finite, but Dp(p) = 0.8 p^2.2 + ... overflows at the pole.
+        text = FRACTIONAL_PLANT.replace("omega0: 2.2", "omega0: 1.0e200") + (
+            "controllers:\n  - {kp: 1.0, ti: 1.0, td: 1.0, lambda: 1.0, delta: 1.0}\n"
+        )
+        config = write_config(tmp_path, text)
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "design pole" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -246,6 +261,14 @@ class TestTune:
         assert "vanishes" in err
         assert "Traceback" not in err
 
+    def test_default_target_is_the_optimizer_default(self, tmp_path, capsys):
+        config = write_config(tmp_path, FRACTIONAL_PLANT.replace("  target_fitness: 1.0e-6\n", ""))
+        out = tmp_path / "out"
+        main(["tune", "--config", str(config), "--out", str(out), "--mode", "integer"])
+        report = json.loads((out / "tune_report.json").read_text())
+        default = PsoConfig(lower_bounds=[0.0], upper_bounds=[1.0]).target_fitness
+        assert report["target_fitness"] == default
+
     def test_writes_reports_and_manifest(self, tmp_path, capsys):
         config = write_config(tmp_path, FRACTIONAL_PLANT)
         out = tmp_path / "out"
@@ -401,6 +424,18 @@ controllers:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_overflowing_time_step(self, tmp_path, capsys):
+        # h^-2.2 overflows at h = 1e-200 (the horizon keeps the step count small).
+        text = self.CONFIG.replace("time_step: 0.001", "time_step: 1.0e-200")
+        text = text.replace("horizon: 2.0", "horizon: 1.0e-199")
+        config = write_config(tmp_path, text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "time_step" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_run_cost_capped(self, tmp_path, capsys):
         text = self.CONFIG.replace("horizon: 2.0", "horizon: 10000.0")
         config = write_config(tmp_path, text)
@@ -458,6 +493,21 @@ controllers:
         code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "vanishes" in capsys.readouterr().err
+
+    def test_non_finite_residual_rejected(self, tmp_path, capsys):
+        # The residual overflows to inf, which is not valid JSON; the label
+        # is named and nothing is written.
+        text = self.CONFIG + (
+            "  - {kp: 1.0e308, ti: 1.0e308, td: 1.0e308, lambda: 1.0, delta: 1.0, "
+            "label: huge}\n"
+        )
+        config = write_config(tmp_path, text)
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'huge'" in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_requires_controllers(self, tmp_path, capsys):
         text = self.CONFIG[: self.CONFIG.index("controllers:")]

@@ -6,34 +6,39 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fopid.cpower import cpow, polar
+from fopid.cpower import cpow
 
 # Evaluation point used throughout the residual math: second-quadrant pole.
 Z = complex(-1.43, 1.67)
 
 
 class TestPolar:
+    """cpow works in polar form, with the argument in (-pi, pi]."""
+
     def test_positive_real_axis(self):
-        assert polar(complex(1, 0)) == (1.0, 0.0)
+        assert cpow(complex(4, 0), 0.5) == 2 + 0j
 
     def test_second_quadrant_point(self):
-        magnitude, argument = polar(Z)
-        assert magnitude == pytest.approx(2.199, abs=5e-4)
-        assert argument == pytest.approx(2.2789, abs=5e-5)
-        assert math.degrees(argument) == pytest.approx(130.57, abs=5e-3)
+        root = cpow(Z, 0.5)
+        assert abs(root) ** 2 == pytest.approx(2.199, abs=5e-4)
+        assert 2 * cmath.phase(root) == pytest.approx(2.2789, abs=5e-5)
+        assert math.degrees(2 * cmath.phase(root)) == pytest.approx(130.57, abs=5e-3)
 
     def test_negative_imaginary_axis(self):
-        magnitude, argument = polar(complex(0, -2))
-        assert magnitude == 2.0
-        assert argument == -math.pi / 2
+        # arg(-2j) = -pi/2, so the square root is sqrt(2) at -pi/4.
+        assert cpow(complex(0, -2), 0.5) == pytest.approx(1 - 1j, rel=1e-15)
 
     def test_origin(self):
-        assert polar(0j) == (0.0, 0.0)
+        for z in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            assert cpow(z, 0.5) == 0j
+            assert cpow(z, 0.0) == 1 + 0j
 
     def test_negative_real_axis_is_plus_pi(self):
-        for z in (complex(-3, 0.0), complex(-3, -0.0)):
-            _, argument = polar(z)
-            assert argument == math.pi
+        # atan2 gives -pi for a -0.0 imaginary part; cpow folds it to +pi.
+        for z in (complex(-4, 0.0), complex(-4, -0.0)):
+            root = cpow(z, 0.5)
+            assert root == pytest.approx(2j, abs=1e-15)
+            assert root.imag == 2.0
 
 
 class TestCpow:
@@ -100,13 +105,12 @@ class TestProperties:
 
     @given(complex_points)
     def test_polar_reconstruction(self, z):
-        magnitude, argument = polar(z)
-        rebuilt = complex(
-            magnitude * math.cos(argument), magnitude * math.sin(argument)
-        )
-        assert rebuilt == pytest.approx(z, rel=1e-12)
+        assert cpow(z, 0.5) ** 2 == pytest.approx(z, rel=1e-12)
 
     @given(complex_points)
     def test_argument_in_principal_interval(self, z):
-        _, argument = polar(z)
-        assert -math.pi < argument <= math.pi
+        # Where atan2 rounds the argument to -pi, cpow folds it to +pi, the
+        # upper side of the cut; elsewhere the root is cmath's principal one.
+        on_cut = math.atan2(z.imag, z.real) == -math.pi
+        expected = cmath.sqrt(complex(z.real, 0.0) if on_cut else z)
+        assert cpow(z, 0.5) == pytest.approx(expected, rel=1e-12)

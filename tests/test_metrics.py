@@ -108,18 +108,6 @@ class TestAnalyze:
         assert math.isnan(metrics.overshoot_percent)
         assert math.isnan(metrics.rise_time)
 
-    def test_full_span_rise_convention(self):
-        h = 1e-3
-        t = np.arange(0, 12, h)
-        y = 1 - np.exp(-t)
-        metrics = analyze(response(y, h), rise_fractions=(0.0, 1.0))
-        assert metrics.rise_time >= 0.0
-        assert np.isfinite(metrics.rise_time)
-
-    def test_bad_rise_fractions(self):
-        with pytest.raises(ValueError):
-            analyze(response(np.ones(10)), rise_fractions=(0.9, 0.1))
-
     def test_deterministic(self):
         samples = np.random.default_rng(0).random(500) + 5.0
         first = analyze(response(samples))

@@ -422,14 +422,14 @@ class TestTune:
     def test_dims_mismatch_rejected(self):
         problem = benchmarks.fractional_problem("integer")
         lower, upper = ParameterBounds().vectors("fractional")
-        config = PsoConfig(dims=5, lower_bounds=lower, upper_bounds=upper)
+        config = PsoConfig(lower_bounds=lower, upper_bounds=upper)
         with pytest.raises(ValueError, match="dims"):
             tune(problem, config)
 
     def test_bounds_mismatch_rejected(self):
         problem = benchmarks.fractional_problem()
         lower, upper = ParameterBounds().vectors("fractional")
-        config = PsoConfig(dims=5, lower_bounds=lower * 0.5, upper_bounds=upper)
+        config = PsoConfig(lower_bounds=lower * 0.5, upper_bounds=upper)
         with pytest.raises(ValueError, match="bounds"):
             tune(problem, config)
 
