@@ -20,25 +20,36 @@ numerator derivative orders produce a known impulsive transient in the first
 few samples rather than being smoothed away.
 
 The samples are solved in leaves of LEAF consecutive steps rather than one
-at a time. For each leaf:
+at a time, with the history split as in Hairer, Lubich and Schlichte, "Fast
+numerical solution of nonlinear Volterra convolution equations" (SIAM J.
+Sci. Stat. Comput., 1985). Each output's history, the weighted sum of the
+samples before its leaf, builds up in a ``history`` array:
 
-1. The history of every sample before the leaf is subtracted in one
-   ``np.correlate`` against the reversed denominator weights, padded with
-   LEAF zeros so that lags past the memory window weigh nothing. Each of
-   its dot products runs oldest sample first, the order of the per-sample
-   ``np.dot`` recursion. The weights are of order h^-alpha and cancel to
-   outputs of order 1; summed newest first, the small old terms are lost
-   against partial sums of about 1e11.
-2. The leaf's lower-triangular Toeplitz system is solved with the series
-   inverse of the first LEAF weights, computed once per simulation in
-   ``np.longdouble`` by Newton doubling.
-3. One refinement step follows, with its residual formed in
+1. After leaf number c (1-based) ends at sample e, its last
+   B = LEAF * (c & -c) samples add their history to the next B outputs,
+   both sides clipped to the memory window. These blocks tile every pair of
+   samples in different leaves exactly once, and each output receives its
+   blocks oldest first.
+2. A block narrower than FFT_MIN is one ``np.correlate`` against the
+   reversed denominator weights, each dot oldest sample first, with zeros
+   past the memory window. A wider block is summed by ``rfft``/``irfft``
+   over the lags from LEAF on, and its corner, the lags below LEAF, is
+   summed directly afterwards. The weights are of order h^-alpha, about
+   1e11 at the short lags, and cancel to outputs of order 1; an FFT's
+   rounding scales with its largest weight, so with the short lags inside
+   it the fractional reference loop moves about 1e-6, against 4e-9 without.
+3. The leaf's lower-triangular Toeplitz system, with the leaf's history
+   subtracted, is solved with the series inverse of the first LEAF weights,
+   computed once per simulation in ``np.longdouble`` by Newton doubling.
+4. One refinement step follows, with its residual formed in
    ``np.longdouble``; in float64 that residual keeps too few digits to help.
 
-Measured against the same recursion in ``np.longdouble`` on the same
-float64 weights, the result is as accurate as the per-sample recursion in
-float64: at most 1.6 times its error and 0.3 times in the median, over 78
-bundled, tuned and random closed loops at 3 s.
+The FFT blocks cost about steps x log(memory)^2, where the per-sample
+recursion cost steps x memory. Measured against the same
+recursion in ``np.longdouble`` on the same float64 weights, the result is
+as accurate as the per-sample recursion in float64: over 78 bundled, tuned
+and random closed loops at full memory, at most 2.4 times its error and
+0.23 times in the median at 3 s, and at most 1.02 times at 10 s.
 
 A leaf that is non-finite, or whose max |y| reaches
 DBL_MAX / (2 * (sum |den weights| + max |forced side|)), is solved again with
@@ -58,13 +69,19 @@ from .plant import FractionalTransferFunction
 
 # Samples per leaf of the step solve (module docstring).
 LEAF = 128
+# History blocks this wide or wider are summed by FFT, narrower ones directly.
+FFT_MIN = 512
+# Weight spectra of FFTs up to this size are kept for the rest of the run.
+# Larger ones are recomputed: a block of width B recurs only every 2B
+# samples, and keeping them all would hold about 2.6 more arrays of n samples.
+SPECTRUM_CACHE_SIZE = 4096
 MAX_STEPS = 10_000_000
-# Cap on steps x memory, which sets the run's cost: the history sum takes
-# about steps x memory multiply-adds (half that at full memory). The largest
-# bundled or benchmarked run, 5e4 samples at full memory, is 2.5e9. On a
-# 2-core VM a full-memory run at the cap (about 1e5 samples) took 1.1-1.6 s
-# with one BLAS thread and about 0.95 s with two; MAX_STEPS alone would let a
-# full-memory run take hours.
+# Cap on steps x memory, kept from when the history sum took that many
+# multiply-adds. With the FFT blocks a run costs about 0.7 us per sample plus
+# FFTs growing as steps x log(memory)^2: on a 2-core VM with one BLAS thread,
+# 1e5 samples at full memory took 0.05-0.11 s and 1e6 samples with 1e4 of
+# memory 0.74 s, both at the cap. The largest bundled or benchmarked run,
+# 5e4 samples at full memory, is 2.5e9.
 MAX_STEP_MEMORY_PRODUCT = 10**10
 
 
@@ -193,19 +210,24 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     h = cfg.time_step
     n = cfg.steps
     lag = cfg.memory
-    den_weights = _combined_weights(tf.denominator.terms, h, lag + 1)
-    num_weights = _combined_weights(tf.numerator.terms, h, lag + 1)
+    # den_rev[end - j] = den_weights[j]. The leading zeros give no weight to
+    # lags past the memory window: a direct block reaches at most
+    # min(lag, FFT_MIN) past it, and a leaf needs LEAF weights.
+    den_rev = np.zeros(max(LEAF, min(lag, FFT_MIN)) + lag + 1)
+    end = len(den_rev) - 1
+    den_weights = den_rev[::-1]
+    den_weights[: lag + 1] = _combined_weights(tf.denominator.terms, h, lag + 1)
     if den_weights[0] == 0.0:
         raise ValueError("isolation coefficient sum(a_i * h^-alpha_i) is zero")
     # Unit step input: the forced side at step k is the prefix sum of the
     # input weights, saturating once the memory window is full.
-    forced = np.cumsum(num_weights)
-    # den_rev[end - j] = den_weights[j]. The LEAF leading zeros give no
-    # weight to lags past the memory window.
-    den_rev = np.concatenate((np.zeros(LEAF), den_weights[::-1]))
-    end = len(den_rev) - 1
-    leaf_den = den_rev[: end - LEAF : -1].astype(np.longdouble)
+    forced = np.cumsum(_combined_weights(tf.numerator.terms, h, lag + 1))
+    leaf_den = den_weights[:LEAF].astype(np.longdouble)
+    # The lags below LEAF alone, for the corner of an FFT block.
+    near_rev = np.concatenate((np.zeros(LEAF), den_rev[end + 1 - LEAF :]))
     y = np.zeros(n)
+    history = np.zeros(n)
+    spectra = {}
     # An overflow shows up as a non-finite sample, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         # Below this size no partial sum of the recursion can overflow, so a
@@ -216,14 +238,7 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
         for start in range(0, n, LEAF):
             stop = min(start + LEAF, n)
             size = stop - start
-            rhs = forced[np.minimum(np.arange(start, stop), lag)]
-            if start:
-                # Output start + t is the dot of y[first:start], oldest
-                # sample first, with den_weights[start + t - first] down to
-                # den_weights[t + 1].
-                first = max(0, start - lag)
-                window = den_rev[end + 1 - start - size + first : end]
-                rhs = rhs - np.correlate(window, y[first:start], "valid")[::-1]
+            rhs = forced[np.minimum(np.arange(start, stop), lag)] - history[start:stop]
             leaf = np.convolve(inverse[:size], rhs)[:size]
             residual = rhs - np.convolve(leaf_den[:size], leaf)[:size]
             leaf += np.convolve(inverse[:size], residual.astype(float))[:size]
@@ -231,6 +246,40 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
                 _recurse(y, start, den_rev, forced, lag, h)
                 break
             y[start:stop] = leaf
+            if stop == n:
+                break
+            # Leaf number c has ended: its last `width` samples add their
+            # history to the next `width` outputs.
+            c = stop // LEAF
+            width = min(LEAF * (c & -c), lag)
+            first = stop - width
+            last = min(stop + width, n)
+            if width < FFT_MIN:
+                # Output stop + t gets the dot of y[first:stop], oldest
+                # sample first, with den_weights[stop + t - first] down to
+                # den_weights[t + 1].
+                window = den_rev[end + 1 - last + first : end]
+                history[stop:last] += np.correlate(window, y[first:stop], "valid")[::-1]
+                continue
+            fft_size = 1 << (2 * width - 1).bit_length()
+            spectrum = spectra.get(width)
+            if spectrum is None:
+                # Lags LEAF up to 2 * width - 1, shifted down by LEAF.
+                spectrum = np.fft.rfft(den_weights[LEAF : 2 * width], fft_size)
+                if fft_size <= SPECTRUM_CACHE_SIZE:
+                    spectra[width] = spectrum
+            # Output stop + t is entry width - LEAF + t of the cyclic
+            # convolution; at fft_size >= 2 * width no entry read wraps round.
+            far = np.fft.rfft(y[first:stop], fft_size)
+            far *= spectrum
+            del spectrum
+            far = np.fft.irfft(far, fft_size)
+            history[stop:last] += far[width - LEAF : width - LEAF + last - stop]
+            del far
+            # The corner, lags 1 to LEAF - 1, goes last, summed directly.
+            corner = min(stop + LEAF, last)
+            window = near_rev[LEAF - corner + stop : 2 * LEAF - 1]
+            history[stop:corner] += np.correlate(window, y[stop - LEAF : stop], "valid")[::-1]
     return StepResponse(time_step=h, samples=y)
 
 

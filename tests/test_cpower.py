@@ -40,6 +40,14 @@ class TestPolar:
             assert root == pytest.approx(2j, abs=1e-15)
             assert root.imag == 2.0
 
+    def test_just_below_negative_real_axis_is_minus_pi(self):
+        # atan2 rounds this argument to -pi too, but the point is off the cut,
+        # so its principal square root lies near -1j, not +1j.
+        z = complex(-1, -2.2e-16)
+        assert math.atan2(z.imag, z.real) == -math.pi
+        assert cpow(z, 0.5) == pytest.approx(cmath.sqrt(z), abs=1e-15)
+        assert cpow(z, 0.5).imag == pytest.approx(-1.0, rel=1e-15)
+
 
 class TestCpow:
     def test_identity_exponent(self):
@@ -109,8 +117,8 @@ class TestProperties:
 
     @given(complex_points)
     def test_argument_in_principal_interval(self, z):
-        # Where atan2 rounds the argument to -pi, cpow folds it to +pi, the
-        # upper side of the cut; elsewhere the root is cmath's principal one.
-        on_cut = math.atan2(z.imag, z.real) == -math.pi
-        expected = cmath.sqrt(complex(z.real, 0.0) if on_cut else z)
+        # On the negative real axis cpow takes the argument +pi, the upper
+        # side of the cut, also for a -0.0 imaginary part; elsewhere the root
+        # is cmath's principal one.
+        expected = cmath.sqrt(complex(z.real, 0.0) if z.imag == 0 else z)
         assert cpow(z, 0.5) == pytest.approx(expected, rel=1e-12)

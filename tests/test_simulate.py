@@ -1,6 +1,7 @@
 """Tests for the Grunwald-Letnikov step simulator."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -258,6 +259,17 @@ def simulate_or_partial(tf, cfg):
         return exc.partial.samples, exc.first_bad_index
 
 
+def assert_within_ten_times_recursion(tf, cfg):
+    """simulate_step is at most 10x as far as the float64 recursion from the
+    longdouble recursion, both relative to max |y|."""
+    truth, _ = reference_step(tf, cfg, np.longdouble)
+    recursion, _ = reference_step(tf, cfg)
+    scale = np.max(np.abs(truth))
+    error = float(np.max(np.abs(simulate_step(tf, cfg).samples - truth)) / scale)
+    recursion_error = float(np.max(np.abs(recursion - truth)) / scale)
+    assert error <= 10 * recursion_error, (cfg, error, recursion_error)
+
+
 REFERENCE_CONTROLLERS = {
     "fractional_plant/integer": (
         benchmarks.fractional_plant, ControllerParams(214.84, 361.57, 76.76, 1.0, 1.0)
@@ -277,9 +289,19 @@ REFERENCE_LOOPS = {
 
 
 class TestLeafSolve:
+    """The leaf solve with its history summed in blocks.
+
+    After each leaf, a block of the newest samples adds its history to the
+    outputs that follow: blocks narrower than FFT_MIN by one np.correlate,
+    oldest sample first, wider ones by FFT over the lags from LEAF on, plus a
+    direct sum of the lags below LEAF in the block's corner. Runs of more
+    than FFT_MIN steps, with at least FFT_MIN samples of memory, reach the
+    FFT blocks.
+    """
+
     # fractional_plant/fractional is left out: its recursion is off the
     # longdouble truth by about 3e-8, so any change of summation order moves
-    # it by a few 1e-9. The accuracy gate below covers it.
+    # it by a few 1e-9. The accuracy gates below cover it.
     @pytest.mark.parametrize(
         "label", ["fractional_plant/integer", "servo_plant/integer", "servo_plant/fractional"]
     )
@@ -305,25 +327,54 @@ class TestLeafSolve:
     def test_error_within_ten_times_recursion(self, tf):
         # Both float64 solvers against the longdouble recursion, relative to
         # max |y|; the leaf solve may be at most 10x worse than the recursion.
-        cfg = SimConfig(time_step=1e-3, horizon=3.0)
-        truth, _ = reference_step(tf, cfg, np.longdouble)
-        recursion, _ = reference_step(tf, cfg)
-        scale = np.max(np.abs(truth))
-        leaf_error = float(np.max(np.abs(simulate_step(tf, cfg).samples - truth)) / scale)
-        recursion_error = float(np.max(np.abs(recursion - truth)) / scale)
-        assert leaf_error <= 10 * recursion_error
+        # At 10 s the history blocks reach 8192 samples, most of them by FFT.
+        for horizon in (3.0, 10.0):
+            cfg = SimConfig(time_step=1e-3, horizon=horizon)
+            assert_within_ten_times_recursion(tf, cfg)
+
+    @pytest.mark.parametrize(
+        "label", ["fractional_plant/integer", "fractional_plant/fractional", "servo_plant/fractional"]
+    )
+    def test_memory_edges_within_ten_times_recursion(self, label):
+        # Memory lengths next to the leaf, FFT_MIN and doubled block widths,
+        # where a block is clipped to the memory window; 8193 steps end on a
+        # one-sample leaf, so the last block has one output. The servo's
+        # integer loop has no history past lag 2 and is left out. At memory
+        # 127-129 the float64 recursion sits up to 6e-6 from the longdouble
+        # truth relative to max(|y|, 1), so the gate is against the truth,
+        # not the recursion.
+        h = 1e-3
+        for steps in (5000, 8193):
+            for memory in (127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 2000):
+                cfg = SimConfig(time_step=h, horizon=(steps - 1) * h, memory_length=memory)
+                assert cfg.steps == steps
+                assert_within_ten_times_recursion(REFERENCE_LOOPS[label], cfg)
 
     def test_history_summed_oldest_first(self):
-        # Summing each history newest first, as a plain np.convolve does,
-        # drops the small old terms against partial sums of about 1e11: here
-        # it drifts 3.8e-8 from the recursion, against 6e-9 oldest first. At
-        # 10 s no history dot is longer than 1e4, so a threaded BLAS still
-        # sums it in one pass.
+        # Each output's history arrives block by block, oldest block first,
+        # and within an FFT block the lags below LEAF come last, summed
+        # directly. Those weights are about h^-alpha = 1e11 and cancel to
+        # outputs of order 1; inside the FFT, whose rounding scales with its
+        # largest weight, they move the result 1.2e-6 from the recursion.
+        # Split off, it drifts 3.5e-9.
         tf = REFERENCE_LOOPS["fractional_plant/fractional"]
         cfg = SimConfig(time_step=1e-3, horizon=10.0)
         expected, _ = reference_step(tf, cfg)
         got = simulate_step(tf, cfg).samples
         assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1.0)) < 1.5e-8
+
+    def test_peak_memory_at_full_memory(self):
+        # The FFT blocks' transients stay within a few arrays of n samples:
+        # at 50 s the widest block is 32768 samples, an FFT of 65536 points.
+        tf = REFERENCE_LOOPS["fractional_plant/fractional"]
+        cfg = SimConfig(time_step=1e-3, horizon=50.0)
+        tracemalloc.start()
+        try:
+            simulate_step(tf, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * cfg.steps
 
     def test_divergence_index_matches_recursion(self):
         # Negative gains on both plants. Without the guard on max |y| before
