@@ -5,10 +5,12 @@ Subcommands:
     fopid simulate --config job.yaml [--params tune_report.json] [--out DIR]
     fopid verify   --config job.yaml [--params tune_report.json] [--out DIR]
 
-The job file is YAML; every run writes a manifest (config hash, seed, tool
-version) and reports come as plain text plus a JSON sidecar with the same
-data. Exit codes: 0 success, 1 input error, 2 tuning finished above the
-target fitness (report still written).
+The job file is YAML. Each command writes manifest.json (config hash, seed,
+tool version) plus: tune, tune_report.json and its text summary
+tune_report.txt; simulate, metrics.json, metrics.txt and a response_<label>.csv
+per loop; verify, verify_report.json only, printing its table to stdout.
+Exit codes: 0 success, 1 input error, 2 tuning finished above the target
+fitness (report still written).
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def load_config(path: str | Path) -> JobConfig:
     if mode not in ("fractional", "integer", "both"):
         raise ConfigError(f"mode must be fractional, integer or both, got {mode!r}")
 
-    pso_raw = data.get("pso") or {}
+    pso_raw = {} if data.get("pso") is None else data["pso"]
     if not isinstance(pso_raw, dict):
         raise ConfigError("pso must be a mapping")
     _reject_unknown(pso_raw, PSO_KEYS, "pso")
@@ -233,7 +235,7 @@ def load_config(path: str | Path) -> JobConfig:
         raise ConfigError(f"include_open_loop must be true or false, got {include_open_loop!r}")
 
     controllers = []
-    raw_controllers = data.get("controllers") or []
+    raw_controllers = [] if data.get("controllers") is None else data["controllers"]
     if not isinstance(raw_controllers, list):
         raise ConfigError("controllers must be a list")
     seen_labels = {"open_loop"}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -42,9 +43,7 @@ DEFAULT_ORDER_BOUNDS = (0.0, 2.0)
 # 1.01e-6 and the swarm could never stop on a solve at that target.
 SOLVE_REAL_TARGET = 5e-7
 
-# Orders (lam, delta) of every integer-mode row, and the signs that turn them
-# into the exponents (-lam, delta) of p in Gc(p).
-UNIT_ORDERS = np.ones((1, 2))
+# Signs that turn the orders (lam, delta) into the exponents (-lam, delta) of p.
 EXPONENT_SIGNS = np.array([-1.0, 1.0])
 
 
@@ -186,16 +185,15 @@ class TuningProblem:
     poles: DominantPoles
     mode: Mode = "fractional"
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
-    # (pole, Dp(pole), Np(pole)) at the upper pole, then at the lower one.
-    plant_at_poles: tuple[tuple[complex, complex, complex], ...] = field(
+    # (Dp(pole), Np(pole)) at the upper pole, then at the lower one.
+    plant_at_poles: tuple[tuple[complex, complex], ...] = field(
         init=False, compare=False, repr=False
     )
     # log(pole) in the same order. A design pole has x > 0, so it is never on
     # the branch cut, and p^e = exp(e*log p) on the principal branch.
     log_poles: tuple[complex, complex] = field(init=False, compare=False, repr=False)
-    # (p^-1, p^1) as a (1, 2) row at the upper pole, then at the lower one:
-    # the powers of every integer-mode row, exactly as _powers gives them.
-    unit_powers: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    # (p^-1, p^1) at the upper pole, (1, 2), as _powers gives integer mode's rows.
+    unit_powers: np.ndarray = field(init=False, compare=False, repr=False)
     # bounds.vectors(mode), read-only.
     box: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
@@ -221,12 +219,11 @@ class TuningProblem:
             # no longer represents the characteristic condition.
             if abs(den_value) <= 1e-12 * den_scale:
                 raise ValueError(f"plant denominator vanishes at the design pole {pole}")
-            values.append((pole, den_value, num_value))
+            values.append((den_value, num_value))
         object.__setattr__(self, "plant_at_poles", tuple(values))
         log_poles = (cmath.log(self.poles.upper), cmath.log(self.poles.lower))
         object.__setattr__(self, "log_poles", log_poles)
-        unit_powers = (_powers(self, UNIT_ORDERS), _powers(self, UNIT_ORDERS, True))
-        object.__setattr__(self, "unit_powers", unit_powers)
+        object.__setattr__(self, "unit_powers", _powers(self, np.ones((1, 2))))
         box = self.bounds.vectors(self.mode)
         for vector in box:
             vector.flags.writeable = False
@@ -239,13 +236,11 @@ class TuningProblem:
     def decode(self, position: np.ndarray) -> ControllerParams:
         """Translate an optimizer position vector into controller parameters."""
         values = [float(v) for v in position]
-        if self.mode == "fractional":
-            if len(values) != 5:
-                raise ValueError("fractional mode expects a 5-vector")
-            return ControllerParams(*values)
-        if len(values) != 3:
-            raise ValueError("integer mode expects a 3-vector")
-        return ControllerParams(values[0], values[1], values[2], 1.0, 1.0)
+        if len(values) != self.dims:
+            raise ValueError(f"{self.mode} mode expects a {self.dims}-vector")
+        if self.mode == "integer":
+            values += [1.0, 1.0]
+        return ControllerParams(*values)
 
     def fitness(self, positions: np.ndarray) -> np.ndarray:
         """Residual fitness f of each row of an (N, dims) array of positions.
@@ -259,11 +254,7 @@ class TuningProblem:
                 f"{self.mode} mode expects positions of shape (N, {self.dims}), "
                 f"got {positions.shape}"
             )
-        if self.mode == "fractional":
-            powers = _powers(self, positions[:, 3:])
-        else:
-            powers = self.unit_powers[0]
-        return _residual_columns(self, positions[:, :3], powers)[3]
+        return _residual_columns(self, positions[:, :3], _position_powers(self, positions))[3]
 
 
 def _phase_columns(r: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -285,6 +276,13 @@ def _powers(problem: TuningProblem, orders: np.ndarray, conjugate: bool = False)
     return np.exp(orders * (EXPONENT_SIGNS * problem.log_poles[conjugate]))
 
 
+def _position_powers(problem: TuningProblem, positions: np.ndarray) -> np.ndarray:
+    """Upper-pole (p^-lam, p^delta) per row: (N, 2), or integer mode's shared (1, 2)."""
+    if problem.mode == "fractional":
+        return _powers(problem, positions[:, 3:])
+    return problem.unit_powers
+
+
 def _residual_columns(
     problem: TuningProblem, gains: np.ndarray, powers: np.ndarray, conjugate: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +290,7 @@ def _residual_columns(
 
     gains is (N, 3); powers is (N, 2), or (1, 2) to share one pair of powers.
     """
-    _, den_value, num_value = problem.plant_at_poles[conjugate]
+    den_value, num_value = problem.plant_at_poles[conjugate]
     terms = gains[:, 1:] * powers
     expression = den_value + (gains[:, 0] + terms[:, 0] + terms[:, 1]) * num_value
     r = expression.real
@@ -329,24 +327,25 @@ def default_pso_config(problem: TuningProblem, seed: int = 0, **overrides) -> Ps
     return PsoConfig(lower_bounds=lower, upper_bounds=upper, seed=seed, **overrides)
 
 
-def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | None:
-    """The position with (ti, td) solved so that R = SOLVE_REAL_TARGET, I = 0.
+def solve_gains(
+    position: np.ndarray, problem: TuningProblem
+) -> tuple[np.ndarray, float] | None:
+    """The position with (ti, td) solved so that R = SOLVE_REAL_TARGET, I = 0, and its f.
 
     The cleared residual Dp(p) + Np(p)*(kp + ti*p^-lam + td*p^delta) is affine
     in (ti, td), so with (kp, lam, delta) held the two real equations are a
-    2x2 linear system. Returns None when the system is singular or its
-    solution leaves the parameter box.
+    2x2 linear system. The powers of p are the ones TuningProblem.fitness
+    uses, and f comes from the same kernel, so it equals
+    residual(problem.decode(solved), problem).f bit for bit. Returns None when
+    the system is singular or its solution leaves the parameter box.
     """
     solved = np.array(position, dtype=float)
     if solved.shape != (problem.dims,):
         raise ValueError(f"{problem.mode} mode expects a {problem.dims}-vector")
-    kp = float(solved[0])
-    lam, delta = solved[3:].tolist() if problem.mode == "fractional" else (1.0, 1.0)
-    _, den_value, num_value = problem.plant_at_poles[0]
-    log_pole = problem.log_poles[0]
-    base = den_value + kp * num_value
-    u = num_value * cmath.exp(-lam * log_pole)
-    v = num_value * cmath.exp(delta * log_pole)
+    powers = _position_powers(problem, solved[np.newaxis])
+    den_value, num_value = problem.plant_at_poles[0]
+    base = den_value + float(solved[0]) * num_value
+    u, v = (num_value * power for power in powers[0].tolist())
     det = u.real * v.imag - v.real * u.imag
     if det == 0.0:
         return None
@@ -360,16 +359,17 @@ def solve_gains(position: np.ndarray, problem: TuningProblem) -> np.ndarray | No
         lo <= x <= hi for lo, x, hi in zip(lower.tolist(), solved.tolist(), upper.tolist())
     ):
         return None
-    return solved
+    return solved, float(_residual_columns(problem, solved[np.newaxis, :3], powers)[3][0])
 
 
 def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, SwarmResult]:
     """Minimize the residual fitness with the swarm, solving for (ti, td) on the way.
 
     Each time the swarm's gbest improves (and on the first one), solve_gains()
-    keeps its (kp, lam, delta) and solves the gains (ti, td) exactly; this is
-    minimize()'s polish step. A solved point counts only if it lies in the box
-    and its fitness is strictly lower than the gbest it came from. The swarm
+    keeps its (kp, lam, delta), solves the gains (ti, td) exactly and scores
+    the solved point; it is minimize()'s polish step. A solved point counts
+    only if it lies in the box and its fitness is strictly lower than the
+    gbest it came from. The swarm
     stops (stop_reason "solve") as soon as such a point meets the target;
     otherwise the last solved point is kept after a "target" or "budget" stop
     if it is lower. A kept point's fitness becomes best_fitness and the last
@@ -393,11 +393,5 @@ def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, Swar
     ):
         raise ValueError("optimizer bounds do not match the problem bounds")
 
-    def polish(position: np.ndarray) -> tuple[np.ndarray, float] | None:
-        solved = solve_gains(position, problem)
-        if solved is None:
-            return None
-        return solved, float(problem.fitness(solved[np.newaxis])[0])
-
-    result = minimize(pso, problem.fitness, polish=polish)
+    result = minimize(pso, problem.fitness, polish=partial(solve_gains, problem=problem))
     return problem.decode(result.best_position), result

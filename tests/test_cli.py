@@ -128,6 +128,36 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("pso", "[]", "pso must be a mapping"),
+            ("pso", "0", "pso must be a mapping"),
+            ("pso", "false", "pso must be a mapping"),
+            ("pso", '""', "pso must be a mapping"),
+            ("pso", "[1]", "pso must be a mapping"),
+            ("controllers", "{}", "controllers must be a list"),
+            ("controllers", "0", "controllers must be a list"),
+            ("controllers", "false", "controllers must be a list"),
+            ("controllers", "{a: 1}", "controllers must be a list"),
+        ],
+    )
+    def test_section_of_wrong_type_refused(self, tmp_path, capsys, section, value, message):
+        # Only a missing section or null counts as empty; an empty or false
+        # value of the wrong type is refused like any other.
+        text = FRACTIONAL_PLANT.split("pso:")[0] + f"{section}: {value}\n"
+        config = write_config(tmp_path, text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_null_sections_are_empty(self, tmp_path):
+        text = FRACTIONAL_PLANT.split("pso:")[0] + "pso: null\ncontrollers: null\n"
+        config = load_config(write_config(tmp_path, text))
+        assert config.pso_overrides == {}
+        assert config.controllers == []
+
     @pytest.mark.parametrize("value", ['"no"', "0", "1", "yes please"])
     def test_include_open_loop_must_be_bool(self, tmp_path, capsys, value):
         config = write_config(tmp_path, FRACTIONAL_PLANT + f"include_open_loop: {value}\n")

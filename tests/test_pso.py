@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,16 +151,6 @@ def halve_if_positive(positions_seen):
             return None
         half = position / 2.0
         return half, one_row(sphere, half)
-
-    return polish
-
-
-def gain_polish(problem):
-    """tune()'s polish: solve (ti, td), then one fitness row at the solved point."""
-
-    def polish(position):
-        solved = solve_gains(position, problem)
-        return None if solved is None else (solved, one_row(problem.fitness, solved))
 
     return polish
 
@@ -398,7 +389,8 @@ class TestPolish:
     def test_matches_reference_on_bundled_problems(self, make, mode, seed):
         problem = make(mode)
         config = default_pso_config(problem, seed=seed)
-        assert_matches_reference(config, problem.fitness, gain_polish(problem))
+        polish = partial(solve_gains, problem=problem)
+        assert_matches_reference(config, problem.fitness, polish)
 
     def test_called_on_first_gbest_and_each_improvement(self):
         # A polish that never meets the target leaves the swarm's run

@@ -210,10 +210,9 @@ class TestResidual:
     def test_plant_evaluated_once_per_problem(self, monkeypatch):
         problem = benchmarks.servo_problem()
         poles = (problem.poles.upper, problem.poles.lower)
-        for (pole, den_value, num_value), log_pole, expected in zip(
+        for (den_value, num_value), log_pole, pole in zip(
             problem.plant_at_poles, problem.log_poles, poles
         ):
-            assert pole == expected
             assert den_value == problem.plant.denominator.evaluate(pole)
             assert num_value == problem.plant.numerator.evaluate(pole)
             assert log_pole == cmath.log(pole)
@@ -250,7 +249,8 @@ def scalar_phase(r, i):
 
 def cpow_residual(params, problem, conjugate=False):
     """Reference: the residual in scalar complex arithmetic through cpow."""
-    pole, den_value, num_value = problem.plant_at_poles[1 if conjugate else 0]
+    pole = problem.poles.lower if conjugate else problem.poles.upper
+    den_value, num_value = problem.plant_at_poles[conjugate]
     gc_value = (
         params.kp
         + params.ti * cpow(pole, -params.lam)
@@ -324,7 +324,7 @@ class TestFitnessKernel:
         # integral or derivative action leaves r = 0 exactly; a constant
         # denominator c with kp = -c leaves r = i = 0.
         axis = benchmarks.fractional_problem()
-        den_value = axis.plant_at_poles[0][1]
+        den_value = axis.plant_at_poles[0][0]
         origin = TuningProblem(
             FractionalTransferFunction.from_terms([(1.0, 0.0)], [(2.0, 0.0)]),
             benchmarks.design_poles(),
@@ -351,7 +351,7 @@ class TestFitnessKernel:
             FractionalTransferFunction.from_terms([], [(0.8, 2.2), (1.0, 0.0)]),
             benchmarks.design_poles(),
         )
-        den_value = problem.plant_at_poles[0][1]
+        den_value = problem.plant_at_poles[0][0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = problem.fitness(in_box_swarm(problem, np.random.default_rng(3)))
@@ -482,10 +482,12 @@ def first_solve_meeting_target(problem, config):
     ]
     assert len(improved_at) == len(gbests)
     for iteration, position in zip(improved_at, gbests):
-        solved = solve_gains(position, problem)
-        if solved is None:
+        solve = solve_gains(position, problem)
+        if solve is None:
             continue
+        solved, solved_fitness = solve
         value = residual(problem.decode(solved), problem).f
+        assert solved_fitness == value
         if value < history[iteration] and value <= config.target_fitness:
             return iteration, solved, value
     raise AssertionError("no solve met the target")
@@ -496,19 +498,21 @@ class TestSolveGains:
         problem = benchmarks.fractional_problem("fractional")
         config = default_pso_config(problem, seed=0, swarm_size=15, max_iterations=60)
         swarm = minimize(config, problem.fitness)
-        solved = solve_gains(swarm.best_position, problem)
-        assert solved is not None
+        solve = solve_gains(swarm.best_position, problem)
+        assert solve is not None
+        solved, solved_fitness = solve
         # Only (ti, td) move; kp and the orders keep the swarm's values.
         assert np.array_equal(solved[[0, 3, 4]], swarm.best_position[[0, 3, 4]])
         value = residual(problem.decode(solved), problem)
         assert value.r == pytest.approx(SOLVE_REAL_TARGET, abs=1e-9)
         assert abs(value.i) < 1e-9
+        assert solved_fitness == value.f
 
     def test_solution_outside_narrowed_box_rejected(self):
         problem = benchmarks.fractional_problem("fractional")
         config = default_pso_config(problem, seed=0, swarm_size=15, max_iterations=60)
         position = minimize(config, problem.fitness).best_position
-        solved = solve_gains(position, problem)
+        solved, _ = solve_gains(position, problem)
         narrowed = replace(
             problem, bounds=ParameterBounds(ti=(1.0, 0.999 * solved[1]))
         )
@@ -566,9 +570,9 @@ class TestSolveGains:
         swarm = minimize(config, problem.fitness)
         params, result = tune(problem, config)
         assert result.stop_reason == swarm.stop_reason == "budget"
-        solved = solve_gains(swarm.best_position, problem)
+        solved, solved_fitness = solve_gains(swarm.best_position, problem)
         assert result.best_position.tobytes() == solved.tobytes()
-        assert result.best_fitness < swarm.best_fitness
+        assert result.best_fitness == solved_fitness < swarm.best_fitness
         assert result.swarm_fitness == swarm.best_fitness
         assert result.iterations_run == swarm.iterations_run
         assert result.fitness_history[:-1] == swarm.fitness_history[:-1]
@@ -592,6 +596,27 @@ class TestSolveGains:
         assert result.fitness_history[:-1] == swarm.fitness_history[:stop_at]
         assert result.swarm_fitness == swarm.fitness_history[stop_at]
         assert_tune_contracts(problem, params, result)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode", ["fractional", "integer"])
+    @pytest.mark.parametrize(
+        "make", [benchmarks.fractional_problem, benchmarks.servo_problem]
+    )
+    def test_fitness_called_once_per_swarm_evaluation(self, monkeypatch, make, mode, seed):
+        # solve_gains scores its solved point itself, so the swarm's first
+        # evaluation and one per iteration are the only fitness calls.
+        problem = make(mode)
+        config = default_pso_config(problem, seed=seed)
+        fitness = TuningProblem.fitness
+        rows = []
+
+        def counting(self, positions):
+            rows.append(len(positions))
+            return fitness(self, positions)
+
+        monkeypatch.setattr(TuningProblem, "fitness", counting)
+        _, result = tune(problem, config)
+        assert rows == [config.swarm_size] * (result.iterations_run + 1)
 
     def test_deterministic_for_fixed_seed(self):
         problem = benchmarks.servo_problem("fractional")
