@@ -109,6 +109,7 @@ def _parse_terms(raw, where: str) -> list[tuple[float, float]]:
 def _parse_plant(raw) -> FractionalTransferFunction:
     if not isinstance(raw, dict):
         raise ConfigError("plant must be a mapping with numerator and denominator")
+    _reject_unknown(raw, {"numerator", "denominator"}, "plant")
     for key in ("numerator", "denominator"):
         if key not in raw:
             raise ConfigError(f"plant.{key} is required")
@@ -349,9 +350,9 @@ def _gather_controllers(config: JobConfig, params_path) -> list[tuple[str, Contr
 
 def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
     modes = ["integer", "fractional"] if mode == "both" else [mode]
-    used_seed = seed if seed is not None else config.pso_overrides.get("seed", 0)
     overrides = dict(config.pso_overrides)
-    overrides["seed"] = used_seed
+    if seed is not None:
+        overrides["seed"] = seed
 
     results = {}
     all_converged = True
@@ -359,6 +360,7 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
         problem = _resolve_problem(config, run_mode)
         pso_config = default_pso_config(problem, **overrides)
         target = pso_config.target_fitness
+        used_seed = pso_config.seed
         params, swarm = tune(problem, pso_config)
         converged = swarm.best_fitness <= target
         all_converged &= converged
@@ -410,7 +412,10 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
     if config.include_open_loop:
         curves.append(("open_loop", config.plant))
     for label, params in controllers:
-        curves.append((label, closed_loop(controller_tf(params), config.plant)))
+        try:
+            curves.append((label, closed_loop(controller_tf(params), config.plant)))
+        except ValueError as exc:
+            raise ConfigError(f"controller {label!r}: {exc}") from exc
 
     # Every curve is simulated before anything is written, so that an input
     # error leaves no partial output.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cpower import cpow
 
@@ -57,16 +57,10 @@ class FractionalPolynomial:
             return NotImplemented
         return FractionalPolynomial(list(self.terms) + list(other.terms))
 
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FractionalPolynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c!r}*s^{e!r}" for c, e in self.terms) or "0"
@@ -138,8 +132,9 @@ def controller_tf(params: ControllerParams) -> FractionalTransferFunction:
     Returns (kp*s^lam + ti + td*s^(lam+delta)) / s^lam so that both
     polynomials carry non-negative exponents.
     """
-    if params.lam < 0:
-        raise ValueError("integration order lam must be >= 0")
+    for name, order in (("lambda", params.lam), ("lambda + delta", params.lam + params.delta)):
+        if order < 0:
+            raise ValueError(f"order {name} must be >= 0, got {order!r}")
     numerator = FractionalPolynomial(
         [
             (params.kp, params.lam),

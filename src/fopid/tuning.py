@@ -321,10 +321,10 @@ def residual(
     return ResidualValue(r=r, i=i, p=p, f=f)
 
 
-def default_pso_config(problem: TuningProblem, seed: int = 0, **overrides) -> PsoConfig:
+def default_pso_config(problem: TuningProblem, **overrides) -> PsoConfig:
     """Optimizer setup over the problem's box; overrides set other PsoConfig fields."""
     lower, upper = problem.box
-    return PsoConfig(lower_bounds=lower, upper_bounds=upper, seed=seed, **overrides)
+    return PsoConfig(lower_bounds=lower, upper_bounds=upper, **overrides)
 
 
 def solve_gains(

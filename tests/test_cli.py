@@ -119,6 +119,7 @@ class TestValidation:
             ("mode: both", "mode: both\ncontollers: []", "contollers"),
             ("  seed: 7", "  seeed: 7", "seeed"),
             ("  time_step: 0.01", "  tim_step: 0.01", "tim_step"),
+            ("  numerator:", "  denominaor: [[1.0, 0.0]]\n  numerator:", "denominaor"),
         ],
     )
     def test_unknown_key_named_in_error(self, tmp_path, capsys, old, new, key):
@@ -299,6 +300,14 @@ class TestTune:
         default = PsoConfig(lower_bounds=[0.0], upper_bounds=[1.0]).target_fitness
         assert report["target_fitness"] == default
 
+    def test_default_seed_is_the_optimizer_default(self, tmp_path, capsys):
+        config = write_config(tmp_path, FRACTIONAL_PLANT.replace("  seed: 7\n", ""))
+        out = tmp_path / "out"
+        main(["tune", "--config", str(config), "--out", str(out), "--mode", "integer"])
+        default = PsoConfig(lower_bounds=[0.0], upper_bounds=[1.0]).seed
+        assert json.loads((out / "tune_report.json").read_text())["seed"] == default
+        assert json.loads((out / "manifest.json").read_text())["seed"] == default
+
     def test_writes_reports_and_manifest(self, tmp_path, capsys):
         config = write_config(tmp_path, FRACTIONAL_PLANT)
         out = tmp_path / "out"
@@ -453,6 +462,21 @@ controllers:
         config = write_config(tmp_path, text)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "orders, field",
+        [("lambda: 0.5, delta: -1.5", "lambda + delta"), ("lambda: -0.5, delta: 1.0", "lambda")],
+    )
+    def test_bad_controller_order_named(self, tmp_path, capsys, orders, field):
+        text = self.CONFIG.replace("lambda: 1.0, delta: 1.0, label: classic", f"{orders}, label: odd")
+        config = write_config(tmp_path, text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "controller 'odd'" in err
+        assert f"{field} must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_time_step(self, tmp_path, capsys):
         # h^-2.2 overflows at h = 1e-200 (the horizon keeps the step count small).

@@ -1,18 +1,22 @@
-"""The package's public names, and the entry points the traced benchmark wraps."""
+"""The package version, and the entry points the traced benchmark wraps."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import fopid
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def test_every_public_name_imports():
-    namespace = {}
-    exec("from fopid import *", namespace)  # AttributeError on a stale name
-    assert set(fopid.__all__) <= namespace.keys()
-    assert len(set(fopid.__all__)) == len(fopid.__all__)
+def test_version_matches_project_metadata():
+    # manifest.json records fopid.__version__; the installed metadata uses pyproject's.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert fopid.__version__ == project["version"]
 
 
 def test_traced_entry_points_resolve():
