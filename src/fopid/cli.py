@@ -70,6 +70,9 @@ class JobConfig:
 
 
 def _as_float(value, where: str) -> float:
+    # YAML's true/false would otherwise pass as 1.0/0.0.
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError):
@@ -304,12 +307,10 @@ def _metrics_dict(metrics: ResponseMetrics) -> dict:
     }
 
 
-def _write_csv(path: Path, response: StepResponse) -> None:
-    lines = ["t,y"]
-    h = response.time_step
-    for k, value in enumerate(response.samples):
-        lines.append(f"{float(k * h)!r},{float(value)!r}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, times: list[str], response: StepResponse) -> None:
+    """Write one curve against the job's shared time column (a diverged curve: a prefix)."""
+    values = map(float.__repr__, response.samples.tolist())
+    path.write_text("t,y\n" + "".join([f"{t},{y}\n" for t, y in zip(times, values)]))
 
 
 def _resolve_problem(config: JobConfig, mode: str) -> TuningProblem:
@@ -435,9 +436,11 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
         entry["diverged_at_sample"] = diverged_at
         report[label] = entry
 
+    longest = max(responses.values(), key=lambda response: len(response.samples))
+    times = list(map(float.__repr__, longest.times.tolist()))
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, response in responses.items():
-        _write_csv(out_dir / f"response_{label}.csv", response)
+        _write_csv(out_dir / f"response_{label}.csv", times, response)
     _write_manifest(out_dir, "simulate", config, None, config.mode)
     _write_json(out_dir / "metrics.json", report)
 

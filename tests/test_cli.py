@@ -166,6 +166,32 @@ class TestValidation:
         assert code == 1
         assert "include_open_loop must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("kp: 214.84", "kp: true", "controllers[0].kp"),
+            ("td: 76.76", "td: false", "controllers[0].td"),
+            ("horizon: 2.0", "horizon: true", "sim.horizon"),
+            ("numerator: [[1.0, 0.0]]", "numerator: [[true, 0.0]]",
+             "plant.numerator[0] coefficient"),
+        ],
+        ids=["gain_true", "gain_false", "sim_field", "plant_coefficient"],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, old, new, field):
+        config = write_config(tmp_path, TestSimulate.CONFIG.replace(old, new))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be a number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_numeric_string_is_a_number(self, tmp_path):
+        # PyYAML reads 1e-3 (no dot) as the string "1e-3".
+        text = TestSimulate.CONFIG.replace("time_step: 0.001", "time_step: 1e-3")
+        assert yaml.safe_load(text)["sim"]["time_step"] == "1e-3"
+        assert load_config(write_config(tmp_path, text)).sim.time_step == 0.001
+
     @pytest.mark.parametrize("name", ["fractional_plant", "servo_plant"])
     def test_bundled_configs_and_job_files_load(self, tmp_path, name):
         shipped = CONFIG_DIR / f"{name}.yaml"
@@ -410,6 +436,50 @@ controllers:
         resp = simulate_step(loop, job.sim)
         assert np.array_equal(parsed[:, 1], resp.samples)
         assert np.array_equal(parsed[:, 0], np.arange(len(resp.samples)) * 0.001)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (None, None),
+            ("{kp: 214.84, ti: 361.57, td: 76.76, lambda: 1.0, delta: 1.0, label: classic}",
+             "{kp: -3.2e6, ti: 0.0, td: 0.0, lambda: 1.0, delta: 1.0, label: wild}"),
+            ("time_step: 0.001", "time_step: 0.0007"),
+        ],
+        ids=["full_length", "diverged_prefix", "long_time_reprs"],
+    )
+    def test_csv_bytes_follow_per_sample_rule(self, tmp_path, capsys, old, new):
+        # Each row is f"{float(k * h)!r},{float(y)!r}" over the samples that
+        # simulate_step gives, or over the finite prefix when it diverges.
+        from fopid.plant import closed_loop, controller_tf
+        from fopid.simulate import SimulationDiverged, simulate_step
+
+        text = self.CONFIG if old is None else self.CONFIG.replace(old, new)
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        job = load_config(config)
+        curves = [("open_loop", job.plant)] + [
+            (label, closed_loop(controller_tf(params), job.plant))
+            for label, params in job.controllers
+        ]
+        h = job.sim.time_step
+        lengths = {}
+        for label, tf in curves:
+            try:
+                samples = simulate_step(tf, job.sim).samples
+            except SimulationDiverged as exc:
+                samples = exc.partial.samples
+            lengths[label] = len(samples)
+            expected = "t,y\n" + "".join(
+                f"{float(k * h)!r},{float(y)!r}\n" for k, y in enumerate(samples)
+            )
+            assert (out / f"response_{label}.csv").read_bytes() == expected.encode()
+        if old is None:
+            assert lengths == {"open_loop": 2001, "classic": 2001}
+        elif "wild" in new:
+            assert lengths["wild"] < lengths["open_loop"] == 2001
+        else:
+            assert any(len(repr(k * h)) > 15 for k in range(lengths["classic"]))
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = write_config(tmp_path, self.CONFIG)
