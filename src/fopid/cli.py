@@ -9,8 +9,8 @@ The job file is YAML. Each command writes manifest.json (config hash, seed,
 tool version) plus: tune, tune_report.json and its text summary
 tune_report.txt; simulate, metrics.json, metrics.txt and a response_<label>.csv
 per loop; verify, verify_report.json only, printing its table to stdout.
-Exit codes: 0 success, 1 input error, 2 tuning finished above the target
-fitness (report still written).
+Exit codes: 0 success, 1 input error or an output directory that cannot be
+written, 2 tuning finished above the target fitness (report still written).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,8 @@ CONFIG_KEYS = {
 }
 PSO_KEYS = {"swarm_size", "iterations", "seed", "target_fitness"}
 SIM_KEYS = {"time_step", "horizon", "memory_length"}
+# The longest file name, in bytes, that common file systems accept.
+MAX_FILE_NAME_BYTES = 255
 # The libyaml parser, where PyYAML was built with it, is four to five times faster.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -142,6 +144,14 @@ def _check_label(label, where: str) -> str:
         raise ConfigError(f"{where} must be a non-empty string, got {label!r}")
     if "/" in label or "\\" in label or label in (".", ".."):
         raise ConfigError(f"{where} {label!r} must not contain / or \\ or be . or ..")
+    if "\0" in label:
+        raise ConfigError(f"{where} {label!r} must not contain a NUL character")
+    size = len(f"response_{label}.csv".encode())
+    if size > MAX_FILE_NAME_BYTES:
+        raise ConfigError(
+            f"{where} is too long: response_<label>.csv would be {size} bytes, "
+            f"over the {MAX_FILE_NAME_BYTES} a file name may have"
+        )
     return label
 
 
@@ -285,26 +295,12 @@ def _write_manifest(out_dir: Path, command: str, config: JobConfig, seed, mode) 
 
 
 def _params_dict(params: ControllerParams) -> dict:
-    return {
-        "kp": params.kp,
-        "ti": params.ti,
-        "td": params.td,
-        "lambda": params.lam,
-        "delta": params.delta,
-    }
+    return dict(zip(PARAM_KEYS, astuple(params)))
 
 
 def _metrics_dict(metrics: ResponseMetrics) -> dict:
-    def scrub(value: float):
-        return None if math.isnan(value) else value
-
-    return {
-        "overshoot_percent": scrub(metrics.overshoot_percent),
-        "rise_time": scrub(metrics.rise_time),
-        "settling_time": scrub(metrics.settling_time),
-        "steady_state": scrub(metrics.steady_state),
-        "stable": metrics.stable,
-    }
+    """The metrics with NaN, an undefined figure, as None."""
+    return {key: None if math.isnan(value) else value for key, value in asdict(metrics).items()}
 
 
 def _write_csv(path: Path, times: list[str], response: StepResponse) -> None:
@@ -431,6 +427,8 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
             response = exc.partial
             diverged_at = exc.first_bad_index
             metrics = ResponseMetrics(math.nan, math.nan, math.nan, math.nan, stable=False)
+        except ValueError as exc:
+            raise ConfigError(f"curve {label!r}: {exc}") from exc
         responses[label] = response
         entry = _metrics_dict(metrics)
         entry["diverged_at_sample"] = diverged_at
@@ -446,14 +444,12 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
 
     lines = ["step response metrics", ""]
     for label in sorted(report):
-        entry = report[label]
         lines.append(f"[{label}]")
-        for key in ("overshoot_percent", "rise_time", "settling_time", "steady_state"):
-            value = entry[key]
-            lines.append(f"  {key} = {'undefined' if value is None else repr(value)}")
-        lines.append(f"  stable = {entry['stable']}")
-        if entry["diverged_at_sample"] is not None:
-            lines.append(f"  diverged_at_sample = {entry['diverged_at_sample']}")
+        for key, value in report[label].items():
+            if value is not None:
+                lines.append(f"  {key} = {value!r}")
+            elif key != "diverged_at_sample":
+                lines.append(f"  {key} = undefined")
         lines.append("")
     (out_dir / "metrics.txt").write_text("\n".join(lines))
 
@@ -534,6 +530,10 @@ def main(argv=None) -> int:
         return cmd_verify(config, out_dir, args.params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # Reading errors are ConfigErrors already, so this one is from writing.
+        print(f"error: cannot write the output to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -270,6 +270,9 @@ class TestValidation:
             ('".."', "must not contain"),
             ('""', "non-empty string"),
             ("5", "non-empty string"),
+            pytest.param('"a\\0b"', "must not contain a NUL character", id="nul"),
+            # response_<label>.csv is 256 bytes, one more than a file name may have.
+            pytest.param("x" * 243, "is too long", id="too_long"),
         ],
     )
     def test_bad_controller_label(self, tmp_path, capsys, label, message):
@@ -286,7 +289,13 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "label, message",
-        [("../escape", "must not contain"), ("open_loop", "replace the open-loop curve")],
+        [
+            ("../escape", "must not contain"),
+            ("open_loop", "replace the open-loop curve"),
+            pytest.param("a\0b", "must not contain a NUL character", id="nul"),
+            # 122 characters but 244 bytes in UTF-8, so the file name has 257.
+            pytest.param("\u00e9" * 122, "is too long", id="too_long"),
+        ],
     )
     def test_bad_label_in_params_file(self, tmp_path, capsys, label, message):
         config = write_config(tmp_path, TestSimulate.CONFIG)
@@ -559,6 +568,29 @@ controllers:
         assert "time_step" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_overflowing_gain_names_controller(self, tmp_path, capsys):
+        # kp * h^-lambda = 1e306 * 1e3 overflows; the step itself is fine.
+        text = self.CONFIG.replace("kp: 214.84", "kp: 1.0e306")
+        config = write_config(tmp_path, text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'classic'" in err and "time_step" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out_name", ["taken", "taken/o"])
+    def test_unusable_output_directory(self, tmp_path, capsys, out_name):
+        # An existing file, and a path under one.
+        (tmp_path / "taken").write_text("")
+        config = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / out_name
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot write the output to {out}" in err
+        assert "Traceback" not in err
 
     def test_run_cost_capped(self, tmp_path, capsys):
         text = self.CONFIG.replace("horizon: 2.0", "horizon: 10000.0")

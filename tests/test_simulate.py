@@ -15,6 +15,7 @@ from fopid.simulate import (
     SimConfig,
     SimulationDiverged,
     _combined_weights,
+    _series_inverse,
     gl_weights,
     simulate_step,
 )
@@ -349,6 +350,16 @@ class TestLeafSolve:
                 cfg = SimConfig(time_step=h, horizon=(steps - 1) * h, memory_length=memory)
                 assert cfg.steps == steps
                 assert_within_ten_times_recursion(REFERENCE_LOOPS[label], cfg)
+
+    @pytest.mark.parametrize("label", list(REFERENCE_LOOPS))
+    def test_series_inverse_of_leaf_weights(self, label):
+        # D g = delta over the first LEAF terms, checked in longdouble. The
+        # weights reach 4e9 to 7e11, and the products cancel to 0 or 1.
+        weights = _combined_weights(REFERENCE_LOOPS[label].denominator.terms, 1e-3, LEAF)
+        inverse = _series_inverse(weights)
+        error = np.convolve(weights.astype(np.longdouble), inverse.astype(np.longdouble))[:LEAF]
+        error[0] -= 1
+        assert np.max(np.abs(error)) <= 1e-9
 
     def test_history_summed_oldest_first(self):
         # Each output's history arrives block by block, oldest block first,
