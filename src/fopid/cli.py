@@ -16,9 +16,11 @@ written, 2 tuning finished above the target fitness (report still written).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -281,6 +283,18 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the OSError that creating out_dir would meet at a file in its way.
+
+    Nothing is created, so an input error found later leaves no directory.
+    """
+    for path in (out_dir, *out_dir.parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+
+
 def _write_manifest(out_dir: Path, command: str, config: JobConfig, seed, mode) -> None:
     _write_json(
         out_dir / "manifest.json",
@@ -346,6 +360,8 @@ def _gather_controllers(config: JobConfig, params_path) -> list[tuple[str, Contr
 
 
 def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
+    # The swarm can run for minutes; a file in the way is refused before it.
+    _check_out_dir(out_dir)
     modes = ["integer", "fractional"] if mode == "both" else [mode]
     overrides = dict(config.pso_overrides)
     if seed is not None:

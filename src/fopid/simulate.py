@@ -38,21 +38,33 @@ samples before its leaf, builds up in a ``history`` array:
    1e11 at the short lags, and cancel to outputs of order 1; an FFT's
    rounding scales with its largest weight, so with the short lags inside
    it the fractional reference loop moves about 1e-6, against 4e-9 without.
-3. The leaf's lower-triangular Toeplitz system, with the leaf's history
-   subtracted, is solved with the series inverse of the first LEAF weights,
-   computed once per simulation by forward substitution in float64, which
-   is backward stable (Higham, "Accuracy and Stability of Numerical
-   Algorithms", ch. 8).
-4. One refinement step follows, with its residual formed in
-   ``np.longdouble``; in float64 that residual keeps too few digits to help.
+3. The leaf's lower-triangular Toeplitz system D y = rhs, with the leaf's
+   history subtracted, is solved as y = G rhs, a matrix-vector product with
+   the Toeplitz matrix G of the series inverse of the first LEAF weights.
+   The inverse is computed once per simulation by forward substitution in
+   float64, which is backward stable (Higham, "Accuracy and Stability of
+   Numerical Algorithms", ch. 8).
+4. One refinement step, y += G (rhs - D y), follows. The residual cancels
+   to far below the products D y, so it is formed without rounding them,
+   by the error-free splitting of Ozaki, Ogita, Oishi and Rump, "Error-free
+   transformations of matrix multiplication by using fast routines of
+   matrix multiplication and its applications" (Numer. Algorithms, 2012).
+   D = D_hi + D_lo, where D_hi rounds each weight to a multiple of
+   2^(e - SPLIT_BITS) with 2^e > max |weight|, and y_hi rounds y the same
+   way. Each product in D_hi y_hi is then an integer times the product q of
+   the two quanta, at most 2^(2 * SPLIT_BITS) = 2^44 of it, and a sum of LEAF
+   of them stays at most 2^51 q, so D_hi y_hi is exact in any summation order
+   that BLAS picks. Only rest = D_lo y + D_hi (y - y_hi), about 2^-22 of the
+   products, is rounded, and rhs - D_hi y_hi - rest gives the residual.
 
 The FFT blocks cost about steps x log(memory)^2, where the per-sample
-recursion cost steps x memory. Measured against the same
-recursion in ``np.longdouble`` on the same float64 weights, the result is
-as accurate as the per-sample recursion in float64: over 78 bundled, tuned
-and random closed loops at full memory, at most 1.42 times its error and
-0.27 times in the median at 3 s, and at most 1.13 times at 10 s, where the
-worst loop grows without bound and amplifies every rounding error alike.
+recursion cost steps x memory. Measured against the same recursion in
+80-bit extended precision on the same float64 weights, the result is as
+accurate as the per-sample recursion in float64: over 78 bundled, tuned
+and random closed loops at full memory, at most 2.13 times its error and
+0.26 times in the median at 3 s, and at most 1.04 times at 10 s. The 3 s
+maximum is a loop that amplifies every sample's rounding alike, where an
+exactly rounded residual gives 2.61.
 
 A leaf that is non-finite, or whose max |y| reaches
 DBL_MAX / (2 * (sum |den weights| + max |forced side|)), is solved again with
@@ -81,11 +93,17 @@ SPECTRUM_CACHE_SIZE = 4096
 MAX_STEPS = 10_000_000
 # Cap on steps x memory, kept from when the history sum took that many
 # multiply-adds. With the FFT blocks a run costs about 0.7 us per sample plus
-# FFTs growing as steps x log(memory)^2: on a 2-core VM with one BLAS thread,
-# 1e5 samples at full memory took 0.05-0.11 s and 1e6 samples with 1e4 of
-# memory 0.74 s, both at the cap. The largest bundled or benchmarked run,
-# 5e4 samples at full memory, is 2.5e9.
+# FFTs growing as steps x log(memory)^2: on a loaded 2-core VM with one BLAS
+# thread, 1e5 samples at full memory took 0.11-0.12 s and 1e6 samples with
+# 1e4 of memory 0.67-0.80 s, both at the cap, and 5e4 samples with 2e3 of
+# memory 0.033-0.042 s. The largest bundled or benchmarked run, 5e4 samples
+# at full memory, is 2.5e9.
 MAX_STEP_MEMORY_PRODUCT = 10**10
+# Bits kept by the high part of each exact split (module docstring, step 4).
+SPLIT_BITS = 22
+# TOEPLITZ_INDEX[i, j] is i - j on and below the diagonal and -1 above it,
+# which picks the zero that _toeplitz appends to the first column.
+TOEPLITZ_INDEX = np.maximum(np.subtract.outer(np.arange(LEAF), np.arange(LEAF)), -1)
 
 
 @dataclass(frozen=True)
@@ -195,6 +213,35 @@ def _series_inverse(weights: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _toeplitz(column: np.ndarray) -> np.ndarray:
+    """The LEAF x LEAF lower-triangular Toeplitz matrix with first column ``column``."""
+    return np.append(column, 0.0)[TOEPLITZ_INDEX]
+
+
+def _split(values: np.ndarray, peak: float) -> np.ndarray:
+    """values rounded to multiples of q = 2^(e - SPLIT_BITS), where 2^e > peak >= max |values|.
+
+    Each entry is an integer of magnitude at most 2^SPLIT_BITS times q, and
+    values minus the result is exact in float64.
+    """
+    quantum = math.ldexp(1.0, math.frexp(peak)[1] - SPLIT_BITS)
+    return np.rint(values / quantum) * quantum
+
+
+def _leaf_residual(
+    rhs: np.ndarray, leaf: np.ndarray, peak: float, den_hi: np.ndarray, den_lo: np.ndarray
+) -> np.ndarray:
+    """rhs - (den_hi + den_lo) @ leaf, with den_hi @ _split(leaf, peak) formed exactly.
+
+    Only the sums of the low parts, about 2^-SPLIT_BITS of the products, are
+    rounded (module docstring, step 4).
+    """
+    leaf_hi = _split(leaf, peak)
+    exact = den_hi @ leaf_hi
+    rest = den_lo @ leaf + den_hi @ (leaf - leaf_hi)
+    return (rhs - exact) - rest
+
+
 def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepResponse:
     """Unit-step response of a fractional transfer function from rest.
 
@@ -220,7 +267,6 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     # Unit step input: the forced side at step k is the prefix sum of the
     # input weights, saturating once the memory window is full.
     forced = np.cumsum(_combined_weights(tf.numerator.terms, h, lag + 1))
-    leaf_den = den_weights[:LEAF].astype(np.longdouble)
     # The lags below LEAF alone, for the corner of an FFT block.
     near_rev = np.concatenate((np.zeros(LEAF), den_rev[end + 1 - LEAF :]))
     y = np.zeros(n)
@@ -232,15 +278,32 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
         # leaf that reaches it is handed to the recursion, which finds the
         # first bad sample.
         limit = np.finfo(float).max / (2 * (np.abs(den_weights).sum() + np.abs(forced).max()))
-        inverse = _series_inverse(den_weights[:LEAF])
+        leaf_weights = den_weights[:LEAF]
+        inverse = _toeplitz(_series_inverse(leaf_weights))
+        weights_hi = _split(leaf_weights, np.abs(leaf_weights).max())
+        den_hi, den_lo = _toeplitz(weights_hi), _toeplitz(leaf_weights - weights_hi)
         for start in range(0, n, LEAF):
             stop = min(start + LEAF, n)
             size = stop - start
-            rhs = forced[np.minimum(np.arange(start, stop), lag)] - history[start:stop]
-            leaf = np.convolve(inverse[:size], rhs)[:size]
-            residual = rhs - np.convolve(leaf_den[:size], leaf)[:size]
-            leaf += np.convolve(inverse[:size], residual.astype(float))[:size]
-            if not np.max(np.abs(leaf)) < limit:
+            # The forced side stays at forced[lag] once the memory window is full.
+            if stop <= lag + 1:
+                rhs = forced[start:stop] - history[start:stop]
+            elif start >= lag:
+                rhs = forced[lag] - history[start:stop]
+            else:
+                saturated = np.full(stop - lag - 1, forced[lag])
+                rhs = np.concatenate((forced[start:], saturated)) - history[start:stop]
+            g = inverse[:size, :size]
+            leaf = g @ rhs
+            peak = np.abs(leaf).max()
+            if peak < limit:
+                # One refinement step. A non-finite leaf, or one past the
+                # limit, skips it and goes to the recursion below.
+                leaf += g @ _leaf_residual(
+                    rhs, leaf, peak, den_hi[:size, :size], den_lo[:size, :size]
+                )
+                peak = np.abs(leaf).max()
+            if not peak < limit:
                 _recurse(y, start, den_rev, forced, lag, h)
                 break
             y[start:stop] = leaf

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from fopid import cli
 from fopid.cli import load_config, main
 from fopid.pso import PsoConfig
 
@@ -326,6 +327,26 @@ class TestTune:
         err = capsys.readouterr().err
         assert "vanishes" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("out_name", ["taken", "taken/o", "taken/o/p"])
+    def test_unusable_output_directory_refused_before_tuning(
+        self, tmp_path, capsys, monkeypatch, out_name
+    ):
+        # An existing file, and paths under one, are refused before the swarm.
+        def no_tune(*args):
+            raise AssertionError("tune() ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "tune", no_tune)
+        (tmp_path / "taken").write_text("")
+        config = write_config(tmp_path, FRACTIONAL_PLANT)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / out_name
+        code = main(["tune", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot write the output to {out}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_default_target_is_the_optimizer_default(self, tmp_path, capsys):
         config = write_config(tmp_path, FRACTIONAL_PLANT.replace("  target_fitness: 1.0e-6\n", ""))

@@ -31,3 +31,15 @@ def test_traced_entry_points_resolve():
         if not hasattr(owner, attribute)
     ]
     assert not missing, f"entry points that no longer resolve: {missing}"
+
+
+def test_no_longdouble_in_the_package():
+    # numpy's longdouble is plain float64 on Windows and on macOS arm64, so
+    # code that needs its extra digits loses them there. The tests may still
+    # use it as their truth.
+    users = [
+        path.name
+        for path in sorted((ROOT / "src" / "fopid").glob("*.py"))
+        if "longdouble" in path.read_text()
+    ]
+    assert not users, f"modules that use longdouble: {users}"

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from fopid.simulate import (
     SimConfig,
     SimulationDiverged,
     _combined_weights,
+    _leaf_residual,
     _series_inverse,
+    _split,
+    _toeplitz,
     gl_weights,
     simulate_step,
 )
@@ -360,6 +364,61 @@ class TestLeafSolve:
         error = np.convolve(weights.astype(np.longdouble), inverse.astype(np.longdouble))[:LEAF]
         error[0] -= 1
         assert np.max(np.abs(error)) <= 1e-9
+
+    @pytest.mark.parametrize("memory", [None, 5])
+    @pytest.mark.parametrize("label", [*REFERENCE_LOOPS, "alternating"])
+    def test_split_residual_is_exact(self, label, memory):
+        # The refinement residual rhs - D y against the exact one in
+        # Fractions. D_hi @ y_hi must be exact in any summation order, so it
+        # equals the correctly rounded sum of its products, which are exact.
+        # The rest is rounded term by term: the residual may be off by a few
+        # ulps of itself plus the rounding of (size + 1)-term sums of the low
+        # parts. Memory 5 leaves zero weights past lag 5. The alternating
+        # weights, all of nearly one size, meet an alternating leaf with
+        # every product of one sign: the largest partial sums the split
+        # allows, which the reference loops' weights, decaying from lag 2,
+        # stay far below.
+        rng = np.random.default_rng(14)
+        signs = (-1.0) ** np.arange(LEAF)
+        if label == "alternating":
+            weights = signs * (1 - rng.random(LEAF) / 64) * 2.0**36
+        else:
+            weights = _combined_weights(REFERENCE_LOOPS[label].denominator.terms, 1e-3, LEAF)
+        if memory is not None:
+            weights[memory + 1 :] = 0.0
+        weights_hi = _split(weights, np.abs(weights).max())
+        den_hi, den_lo = _toeplitz(weights_hi), _toeplitz(weights - weights_hi)
+        den, inverse = _toeplitz(weights), _toeplitz(_series_inverse(weights))
+        exact_weights = [Fraction(w) for w in weights]
+        for size in (1, 64, 127, 128):
+            d, d_hi, d_lo = den[:size, :size], den_hi[:size, :size], den_lo[:size, :size]
+            # A leaf solved from a random right-hand side, as simulate_step
+            # refines it, then a random and an alternating leaf, each with
+            # the rounded D y as its right-hand side.
+            random_rhs = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+            leaves = (
+                rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3),
+                signs[:size] * (1 - rng.random(size) / 64) * 10.0 ** rng.uniform(-3, 3),
+            )
+            cases = [(random_rhs, inverse[:size, :size] @ random_rhs)]
+            cases += [(d @ leaf, leaf) for leaf in leaves]
+            for rhs, leaf in cases:
+                peak = np.abs(leaf).max()
+                leaf_hi = _split(leaf, peak)
+                exact = d_hi @ leaf_hi
+                assert np.array_equal(exact, [math.fsum(row * leaf_hi) for row in d_hi]), size
+                got = _leaf_residual(rhs, leaf, peak, d_hi, d_lo)
+                exact_leaf = [Fraction(value) for value in leaf]
+                truth = [
+                    Fraction(rhs[i])
+                    - sum(exact_weights[i - j] * exact_leaf[j] for j in range(i + 1))
+                    for i in range(size)
+                ]
+                error = np.array([float(Fraction(g) - t) for g, t in zip(got, truth)])
+                low = np.abs(d_lo) @ np.abs(leaf) + np.abs(d_hi) @ np.abs(leaf - leaf_hi)
+                eps = np.finfo(float).eps
+                bound = 2 * eps * (np.abs(np.array(truth, dtype=float)) + (size + 2) * low)
+                assert np.all(np.abs(error) <= bound), (size, np.max(np.abs(error) / bound))
 
     def test_history_summed_oldest_first(self):
         # Each output's history arrives block by block, oldest block first,
