@@ -317,10 +317,17 @@ def _metrics_dict(metrics: ResponseMetrics) -> dict:
     return {key: None if math.isnan(value) else value for key, value in asdict(metrics).items()}
 
 
-def _write_csv(path: Path, times: list[str], response: StepResponse) -> None:
-    """Write one curve against the job's shared time column (a diverged curve: a prefix)."""
-    values = map(float.__repr__, response.samples.tolist())
-    path.write_text("t,y\n" + "".join([f"{t},{y}\n" for t, y in zip(times, values)]))
+def _write_csv(path: Path, row_starts: list[str], response: StepResponse) -> None:
+    """Write one curve against the job's shared row starts (a diverged curve: a prefix).
+
+    row_starts[k] is the line break and t_k before sample k. A curve that
+    diverged at sample 0 is the header alone.
+    """
+    values = response.samples.tolist()
+    cells = [""] * (2 * len(values))
+    cells[::2] = row_starts[: len(values)]
+    cells[1::2] = map(float.__repr__, values)
+    path.write_text("t,y" + "".join(cells) + "\n")
 
 
 def _resolve_problem(config: JobConfig, mode: str) -> TuningProblem:
@@ -451,10 +458,10 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
         report[label] = entry
 
     longest = max(responses.values(), key=lambda response: len(response.samples))
-    times = list(map(float.__repr__, longest.times.tolist()))
+    row_starts = [f"\n{t!r}," for t in longest.times.tolist()]
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, response in responses.items():
-        _write_csv(out_dir / f"response_{label}.csv", times, response)
+        _write_csv(out_dir / f"response_{label}.csv", row_starts, response)
     _write_manifest(out_dir, "simulate", config, None, config.mode)
     _write_json(out_dir / "metrics.json", report)
 

@@ -73,6 +73,9 @@ class PsoConfig:
             raise ValueError("lower and upper bounds must have the same length")
         if not np.all(self.lower_bounds < self.upper_bounds):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        for name in ("swarm_size", "max_iterations", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an integer, not a boolean")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be >= 1")
         if self.max_iterations < 1:

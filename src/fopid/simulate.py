@@ -15,6 +15,12 @@ w_m = w_{m-1} * (1 - (1 + alpha)/m). Isolating the m = 0 term of the output
 side yields an explicit update for y_k. L is the short-memory truncation
 depth; by default the full history is kept.
 
+For an integer order e >= 0 the weights are w_m = (-1)^m C(e, m), and the
+recurrence makes them exactly 0 from m = e + 1 on. A loop whose orders are
+all integers therefore runs with L = max(1, highest order) when that is
+shorter than its memory: the recursion is the same in exact arithmetic,
+and only the rounding of the summed zeros is gone.
+
 The step input is sampled with zero pre-history (r_k = 1 for k >= 0), so
 numerator derivative orders produce a known impulsive transient in the first
 few samples rather than being smoothed away.
@@ -38,6 +44,10 @@ samples before its leaf, builds up in a ``history`` array:
    1e11 at the short lags, and cancel to outputs of order 1; an FFT's
    rounding scales with its largest weight, so with the short lags inside
    it the fractional reference loop moves about 1e-6, against 4e-9 without.
+   A width's weight spectrum is transformed once and kept while
+   stop + 2 * width < n. A block of width B recurs 2B samples later, or
+   sooner when B is clipped to the memory window, so only a clipped width
+   can be transformed again, once, near the end of the run.
 3. The leaf's lower-triangular Toeplitz system D y = rhs, with the leaf's
    history subtracted, is solved as y = G rhs, a matrix-vector product with
    the Toeplitz matrix G of the series inverse of the first LEAF weights.
@@ -86,18 +96,17 @@ from .plant import FractionalTransferFunction
 LEAF = 128
 # History blocks this wide or wider are summed by FFT, narrower ones directly.
 FFT_MIN = 512
-# Weight spectra of FFTs up to this size are kept for the rest of the run.
-# Larger ones are recomputed: a block of width B recurs only every 2B
-# samples, and keeping them all would hold about 2.6 more arrays of n samples.
-SPECTRUM_CACHE_SIZE = 4096
 MAX_STEPS = 10_000_000
 # Cap on steps x memory, kept from when the history sum took that many
-# multiply-adds. With the FFT blocks a run costs about 0.7 us per sample plus
-# FFTs growing as steps x log(memory)^2: on a loaded 2-core VM with one BLAS
-# thread, 1e5 samples at full memory took 0.11-0.12 s and 1e6 samples with
-# 1e4 of memory 0.67-0.80 s, both at the cap, and 5e4 samples with 2e3 of
-# memory 0.033-0.042 s. The largest bundled or benchmarked run, 5e4 samples
-# at full memory, is 2.5e9.
+# multiply-adds. It counts the configured memory, also for a loop of integer
+# orders that runs with a memory of its highest order. With the FFT blocks a
+# run costs about 0.7 us per sample plus FFTs growing as
+# steps x log(memory)^2: on a loaded 2-core VM with one BLAS thread, the
+# fractional reference loop took 0.070-0.087 s for 1e5 samples at full
+# memory and 0.47-0.53 s for 1e6 samples with 1e4 of memory, both at the
+# cap, and 0.021-0.030 s for 5e4 samples with 2e3 of memory; the integer
+# servo loop took 0.020-0.029 s, 0.22-0.32 s and 0.010-0.014 s. The largest
+# bundled or benchmarked run, 5e4 samples at full memory, is 2.5e9.
 MAX_STEP_MEMORY_PRODUCT = 10**10
 # Bits kept by the high part of each exact split (module docstring, step 4).
 SPLIT_BITS = 22
@@ -122,7 +131,8 @@ class SimConfig:
         if self.horizon / self.time_step > MAX_STEPS:
             raise ValueError(f"horizon/time_step exceeds {MAX_STEPS}")
         if self.memory_length is not None:
-            if not isinstance(self.memory_length, int) or self.memory_length < 1:
+            memory = self.memory_length
+            if isinstance(memory, bool) or not isinstance(memory, int) or memory < 1:
                 raise ValueError("memory_length must be a positive integer or None")
         if self.steps * self.memory > MAX_STEP_MEMORY_PRODUCT:
             raise ValueError(
@@ -138,7 +148,7 @@ class SimConfig:
 
     @property
     def memory(self) -> int:
-        """Maximum history lag actually used."""
+        """Maximum history lag; simulate_step stops at the highest order if all are integers."""
         full = self.steps - 1
         if self.memory_length is None:
             return full
@@ -174,11 +184,27 @@ class SimulationDiverged(RuntimeError):
 
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
-    """First ``count`` Grunwald-Letnikov weights w_0..w_{count-1} for order alpha."""
+    """First ``count`` Grunwald-Letnikov weights w_0..w_{count-1} for order alpha.
+
+    For an integer alpha >= 0 the factor 1 - (1 + alpha)/m is exactly 0 at
+    m = alpha + 1, so only the first alpha + 2 weights are computed and the
+    rest are zero.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    m = np.arange(1, count, dtype=float)
-    return np.concatenate(([1.0], np.cumprod(1.0 - (1.0 + alpha) / m)))
+    support = count
+    if alpha >= 0 and float(alpha).is_integer():
+        support = min(count, int(alpha) + 2)
+    # weights[m] = m, turned in place into the factors and their product.
+    weights = np.arange(count, dtype=float)
+    factors = weights[1:support]
+    np.divide(1.0 + alpha, factors, out=factors)
+    np.subtract(1.0, factors, out=factors)
+    weights[0] = 1.0
+    head = weights[:support]
+    np.cumprod(head, out=head)
+    weights[support:] = 0.0
+    return weights
 
 
 def _combined_weights(
@@ -193,7 +219,9 @@ def _combined_weights(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for coefficient, exponent in terms:
-                total += coefficient * h**-exponent * gl_weights(exponent, count)
+                weights = gl_weights(exponent, count)
+                weights *= coefficient * h**-exponent
+                total += weights
         if np.isfinite(total).all():
             return total
     except OverflowError:  # from h**-exponent
@@ -255,6 +283,11 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     h = cfg.time_step
     n = cfg.steps
     lag = cfg.memory
+    orders = [exponent for _, exponent in tf.numerator.terms + tf.denominator.terms]
+    if all(order.is_integer() for order in orders):
+        # Every weight past the highest order is exactly 0, so a longer
+        # memory would only sum zeros.
+        lag = min(lag, max(1, int(max(orders))))
     # den_rev[end - j] = den_weights[j]. The leading zeros give no weight to
     # lags past the memory window: a direct block reaches at most
     # min(lag, FFT_MIN) past it, and a leaf needs LEAF weights.
@@ -323,12 +356,13 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
                 history[stop:last] += np.correlate(window, y[first:stop], "valid")[::-1]
                 continue
             fft_size = 1 << (2 * width - 1).bit_length()
-            spectrum = spectra.get(width)
+            spectrum = spectra.pop(width, None)
             if spectrum is None:
                 # Lags LEAF up to 2 * width - 1, shifted down by LEAF.
                 spectrum = np.fft.rfft(den_weights[LEAF : 2 * width], fft_size)
-                if fft_size <= SPECTRUM_CACHE_SIZE:
-                    spectra[width] = spectrum
+            if stop + 2 * width < n:
+                # Blocks of one width are at most 2 * width samples apart.
+                spectra[width] = spectrum
             # Output stop + t is entry width - LEAF + t of the cyclic
             # convolution; at fft_size >= 2 * width no entry read wraps round.
             far = np.fft.rfft(y[first:stop], fft_size)

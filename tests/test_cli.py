@@ -538,6 +538,25 @@ controllers:
         csv_lines = (out / "response_wild.csv").read_text().splitlines()
         assert len(csv_lines) == entry["diverged_at_sample"] + 1  # header + prefix
 
+    def test_divergence_at_sample_zero_keeps_header(self, tmp_path, capsys):
+        # The first sample, 1e300 / 1e-300, overflows, so every curve of
+        # the job is empty: the CSV is the header alone.
+        text = """\
+plant:
+  numerator: [[1.0e300, 0.0]]
+  denominator: [[1.0e-300, 0.0]]
+sim:
+  time_step: 0.001
+  horizon: 1.0
+include_open_loop: true
+"""
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["open_loop"]["diverged_at_sample"] == 0
+        assert (out / "response_open_loop.csv").read_bytes() == b"t,y\n"
+
     def test_params_from_tune_report(self, tmp_path, capsys):
         tune_config = write_config(tmp_path, FRACTIONAL_PLANT, "tune.yaml")
         tune_out = tmp_path / "tuned"

@@ -171,6 +171,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="same length"):
             make_config(upper_bounds=np.full(4, 10.0))
 
+    @pytest.mark.parametrize("name", ["swarm_size", "max_iterations", "seed"])
+    def test_booleans_refused(self, name):
+        # True would otherwise pass as 1, and seed=False as 0.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=name):
+                make_config(**{name: flag})
+
 
 class TestInitialize:
     def test_positions_within_bounds(self):

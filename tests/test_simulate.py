@@ -66,6 +66,33 @@ class TestGlWeights:
         with pytest.raises(ValueError):
             gl_weights(0.5, 0)
 
+    @pytest.mark.parametrize(
+        "exponents",
+        [(0.0,), (2.0, 1.0, 0.0), (3.0, 1.0), (2.2, 0.9, 0.0), (1.41,), (2.0, 1.5, 0.0), (-1.0,)],
+        ids=["static", "integer", "integer_odd", "fractional", "one_fractional", "mixed",
+             "integration"],
+    )
+    def test_matches_cumprod_oracle(self, exponents):
+        # The cumprod of 1 - (1 + e)/m behind a leading 1, summed per term as
+        # c * h^-e * w^(e) from zeros, is the oracle. Integer orders stop the
+        # recurrence at its exact zero, m = e + 1, and fill the rest with
+        # zeros; the sums are the same to the bit.
+        def oracle_weights(alpha, count):
+            m = np.arange(1, count, dtype=float)
+            return np.concatenate(([1.0], np.cumprod(1.0 - (1.0 + alpha) / m)))
+
+        h = 1e-3
+        terms = tuple((1.0 + k / 3, e) for k, e in enumerate(exponents))
+        top = int(max(exponents))
+        for count in sorted({1, 2, top + 1, top + 2, 3001, 50001} - {0}):
+            for _, e in terms:
+                assert np.array_equal(gl_weights(e, count), oracle_weights(e, count)), (e, count)
+            expected = np.zeros(count)
+            for c, e in terms:
+                expected += c * h**-e * oracle_weights(e, count)
+            got = _combined_weights(terms, h, count)
+            assert got.tobytes() == expected.tobytes(), count
+
 
 class TestSimConfig:
     def test_defaults(self):
@@ -101,6 +128,8 @@ class TestSimConfig:
             SimConfig(time_step=1e-9, horizon=1e3)
         with pytest.raises(ValueError):
             SimConfig(memory_length=0)
+        with pytest.raises(ValueError, match="memory_length"):
+            SimConfig(memory_length=True)
 
 
 class TestSimulateStep:
@@ -300,8 +329,8 @@ class TestLeafSolve:
     outputs that follow: blocks narrower than FFT_MIN by one np.correlate,
     oldest sample first, wider ones by FFT over the lags from LEAF on, plus a
     direct sum of the lags below LEAF in the block's corner. Runs of more
-    than FFT_MIN steps, with at least FFT_MIN samples of memory, reach the
-    FFT blocks.
+    than FFT_MIN steps, with at least FFT_MIN samples of memory and an
+    order that is not an integer, reach the FFT blocks.
     """
 
     # fractional_plant/fractional is left out: its recursion is off the
@@ -332,7 +361,8 @@ class TestLeafSolve:
     def test_error_within_ten_times_recursion(self, tf):
         # Both float64 solvers against the longdouble recursion, relative to
         # max |y|; the leaf solve may be at most 10x worse than the recursion.
-        # At 10 s the history blocks reach 8192 samples, most of them by FFT.
+        # At 10 s the history blocks of a fractional-order loop reach 8192
+        # samples, most of them by FFT.
         for horizon in (3.0, 10.0):
             cfg = SimConfig(time_step=1e-3, horizon=horizon)
             assert_within_ten_times_recursion(tf, cfg)
@@ -432,6 +462,60 @@ class TestLeafSolve:
         expected, _ = reference_step(tf, cfg)
         got = simulate_step(tf, cfg).samples
         assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1.0)) < 1.5e-8
+
+    @pytest.mark.parametrize(
+        "tf",
+        [FIRST_ORDER, second_order(0.65, 2.2), REFERENCE_LOOPS["servo_plant/integer"]],
+        ids=["first_order", "second_order", "servo_plant/integer"],
+    )
+    def test_integer_orders_need_only_their_order_of_memory(self, tf):
+        # Past the highest integer order every weight is exactly 0, so the
+        # full memory gives the samples of a memory of that order, bit for
+        # bit, and stays on the full-memory recursion.
+        top = int(max(e for _, e in tf.numerator.terms + tf.denominator.terms))
+        cfg = SimConfig(time_step=1e-3, horizon=3.0)
+        got = simulate_step(tf, cfg).samples
+        short = simulate_step(tf, replace(cfg, memory_length=top)).samples
+        assert got.tobytes() == short.tobytes()
+        expected, _ = reference_step(tf, cfg)
+        assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(np.abs(expected), 1.0))
+
+    @pytest.mark.parametrize(
+        "tf",
+        [
+            FractionalTransferFunction.from_terms(
+                [(1.0, 0.0)], [(1.0, 2.0), (1.0, 0.5), (1.0, 0.0)]
+            ),
+            FractionalTransferFunction.from_terms(
+                [(1.0, 0.0), (0.1, 0.5)], [(1.0, 1.0), (1.0, 0.0)]
+            ),
+        ],
+        ids=["denominator", "numerator"],
+    )
+    def test_one_fractional_order_keeps_full_memory(self, tf):
+        cfg = SimConfig(time_step=1e-3, horizon=3.0)
+        got = simulate_step(tf, cfg).samples
+        short = simulate_step(tf, replace(cfg, memory_length=4)).samples
+        assert np.max(np.abs(got - short)) > 1e-6
+        expected, _ = reference_step(tf, cfg)
+        assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(np.abs(expected), 1.0))
+
+    def test_weight_spectrum_transformed_once_per_width(self, monkeypatch):
+        # At 50 s the history blocks are 512 to 32768 wide. A block's FFT
+        # has fft_size / 2 samples; a weight spectrum covers the lags from
+        # LEAF to 2 * width - 1, fft_size - LEAF of them.
+        rfft = np.fft.rfft
+        spectra = {}
+
+        def counting_rfft(a, n):
+            if len(a) > n // 2:
+                spectra[n] = spectra.get(n, 0) + 1
+            return rfft(a, n)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        tf = REFERENCE_LOOPS["fractional_plant/fractional"]
+        simulate_step(tf, SimConfig(time_step=1e-3, horizon=50.0))
+        assert spectra == {2 * width: 1 for width in (512, 1024, 2048, 4096, 8192, 16384, 32768)}
 
     def test_peak_memory_at_full_memory(self):
         # The FFT blocks' transients stay within a few arrays of n samples:
