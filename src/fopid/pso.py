@@ -29,6 +29,7 @@ its rows are batched.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -74,8 +75,10 @@ class PsoConfig:
         if not np.all(self.lower_bounds < self.upper_bounds):
             raise ValueError("every lower bound must be strictly below its upper bound")
         for name in ("swarm_size", "max_iterations", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an integer, not a boolean")
+            value = getattr(self, name)
+            # numpy integers are Integral, and so is bool, which is refused here.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be >= 1")
         if self.max_iterations < 1:

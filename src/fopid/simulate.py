@@ -66,6 +66,31 @@ samples before its leaf, builds up in a ``history`` array:
    of them stays at most 2^51 q, so D_hi y_hi is exact in any summation order
    that BLAS picks. Only rest = D_lo y + D_hi (y - y_hi), about 2^-22 of the
    products, is rounded, and rhs - D_hi y_hi - rest gives the residual.
+5. A run whose memory is shorter than a leaf, which includes every loop of
+   integer orders, skips steps 1-4 and the ``history`` array. A leaf then
+   depends on the one before only through that leaf's last lag samples
+   s_{j-1}, a block linear recurrence (Kogge and Stone, "A parallel
+   algorithm for the efficient solution of a general class of recurrence
+   equations", IEEE Trans. Comput., 1973): y_j = G f_j - P s_{j-1}, where
+   P = G H and H maps s_{j-1} to the history of the leaf's first lag rows.
+   The forced side f_j is the same for every leaf after the first, so all
+   the G f_j take two matrix-vector products. The tails
+   s_j = (G f_j)_tail - P_tail s_{j-1} are carried leaf to leaf in lag x lag
+   steps, and then every head takes its P s_{j-1} in one matrix product.
+   Step 4's refinement follows once for the whole run: the residual
+   f - D y, with D the banded Toeplitz matrix of the lag + 1 weights, is
+   formed by np.convolve and the same split, and the same scan solves for
+   the correction. A row reads only its own leaf and the last lag samples
+   of the one before, so each leaf's y_hi uses the quantum of the larger
+   peak of the two, and its last lag samples the larger quantum of the two
+   leaves that read them. Every sample a row reads is then a multiple of
+   its leaf's quantum and below 2^23 of it, and its sum of at most LEAF
+   products stays below 2^52 of their unit: exact, also across a leaf
+   boundary. The refinement leaves about the square of the first pass's
+   relative error, which the correction measures. When the correction
+   exceeds sqrt(eps) of the peak, as for (s + 1)^4 at 1 ms, whose 128-step
+   map between tails has entries of 1e6, the run is solved by steps 1-4
+   instead.
 
 The FFT blocks cost about steps x log(memory)^2, where the per-sample
 recursion cost steps x memory. Measured against the same recursion in
@@ -74,13 +99,18 @@ accurate as the per-sample recursion in float64: over 78 bundled, tuned
 and random closed loops at full memory, at most 2.13 times its error and
 0.26 times in the median at 3 s, and at most 1.04 times at 10 s. The 3 s
 maximum is a loop that amplifies every sample's rounding alike, where an
-exactly rounded residual gives 2.61.
+exactly rounded residual gives 2.61. On the block scan of step 5, the
+servo's integer loop and first- and second-order loops are at most 0.041
+times its error at 3 to 50 s, and the reference loops at memory 5, whose
+recursion grows by about 1.16 per sample, at most 6.5 times.
 
 A leaf that is non-finite, or whose max |y| reaches
 DBL_MAX / (2 * (sum |den weights| + max |forced side|)), is solved again with
-the per-sample recursion, and so is every later leaf. Below that size no
-partial sum of the recursion can overflow, so a divergence is reported at
-the recursion's own first non-finite sample.
+the per-sample recursion, and so is every later leaf. The block scan of
+step 5 keeps the leaves before the first such leaf, checked after each of
+its two passes, and hands that leaf's start to the recursion. Below that
+size no partial sum of the recursion can overflow, so a divergence is
+reported at the recursion's own first non-finite sample.
 """
 
 from __future__ import annotations
@@ -102,11 +132,13 @@ MAX_STEPS = 10_000_000
 # orders that runs with a memory of its highest order. With the FFT blocks a
 # run costs about 0.7 us per sample plus FFTs growing as
 # steps x log(memory)^2: on a loaded 2-core VM with one BLAS thread, the
-# fractional reference loop took 0.070-0.087 s for 1e5 samples at full
-# memory and 0.47-0.53 s for 1e6 samples with 1e4 of memory, both at the
-# cap, and 0.021-0.030 s for 5e4 samples with 2e3 of memory; the integer
-# servo loop took 0.020-0.029 s, 0.22-0.32 s and 0.010-0.014 s. The largest
-# bundled or benchmarked run, 5e4 samples at full memory, is 2.5e9.
+# fractional reference loop took 0.081-0.10 s for 1e5 samples at full
+# memory and 0.61-0.63 s for 1e6 samples with 1e4 of memory, both at the
+# cap, and 0.023-0.031 s for 5e4 samples with 2e3 of memory. The integer
+# servo loop, solved by the block scan, took 0.0076-0.0083 s, 0.097-0.11 s
+# and 0.0043-0.0055 s, against 0.036-0.043 s, 0.38-0.39 s and
+# 0.019-0.021 s leaf by leaf. The largest bundled or benchmarked run, 5e4
+# samples at full memory, is 2.5e9.
 MAX_STEP_MEMORY_PRODUCT = 10**10
 # Bits kept by the high part of each exact split (module docstring, step 4).
 SPLIT_BITS = 22
@@ -270,6 +302,128 @@ def _leaf_residual(
     return (rhs - exact) - rest
 
 
+def _split_leaves(leaves: np.ndarray, lag: int) -> np.ndarray:
+    """Each row of ``leaves`` rounded as _split rounds it, on a quantum of its own.
+
+    The first rows of a leaf also read the last lag samples of the leaf
+    before, so a leaf's quantum covers the peak of both, and those lag
+    samples take the larger quantum of the two leaves that read them. Every
+    quantum is a power of two, so each sample a row reads is a multiple of
+    its leaf's quantum, and below 2^(SPLIT_BITS + 1) of it.
+    """
+    peaks = np.abs(leaves).max(axis=1)
+    peaks[1:] = np.maximum(peaks[1:], peaks[:-1])
+    quanta = np.ldexp(1.0, np.frexp(peaks)[1] - SPLIT_BITS)[:, None]
+    split = leaves / quanta
+    np.rint(split, out=split)
+    split *= quanta
+    tail_quanta = np.maximum(quanta[:-1], quanta[1:])
+    split[:-1, LEAF - lag :] = np.rint(leaves[:-1, LEAF - lag :] / tail_quanta) * tail_quanta
+    return split
+
+
+def _band_residual(
+    rhs: np.ndarray, leaves: np.ndarray, weights_hi: np.ndarray, weights_lo: np.ndarray
+) -> np.ndarray:
+    """rhs - conv(weights_hi + weights_lo, y)[:len(y)] for the samples y of ``leaves``.
+
+    The banded form of _leaf_residual over a whole run, with y_hi from
+    _split_leaves: each output sums at most LEAF products below 2^45 times
+    one unit, its leaf's quantum times the weights', also across a leaf
+    boundary, so conv(weights_hi, y_hi) is exact and only the low parts
+    are rounded.
+    """
+    size = len(rhs)
+    y = leaves.reshape(-1)
+    y_hi = _split_leaves(leaves, len(weights_hi) - 1).reshape(-1)
+    residual = np.convolve(weights_hi, y_hi)[:size]
+    np.subtract(rhs, residual, out=residual)
+    del rhs
+    # y - y_hi is exact; it takes y_hi's place.
+    low = np.subtract(y, y_hi, out=y_hi)
+    del y_hi
+    rest = np.convolve(weights_hi, low)[:size]
+    del low
+    rest += np.convolve(weights_lo, y)[:size]
+    residual -= rest
+    return residual
+
+
+def _block_scan(leaves: np.ndarray, coupling: np.ndarray) -> None:
+    """Turn each row of ``leaves`` from G f_j into y_j = G f_j - coupling @ s_{j-1}, in place.
+
+    s_j is the last lag samples of y_j and s_{-1} = 0. The tails are carried
+    leaf to leaf, then every head takes its history in one product.
+    """
+    lag = coupling.shape[1]
+    tails = leaves[:, LEAF - lag :]
+    step = coupling[LEAF - lag :].T
+    previous = tails[0]
+    for tail in tails[1:]:
+        tail -= previous @ step
+        previous = tail
+    leaves[1:, : LEAF - lag] -= tails[:-1] @ coupling[: LEAF - lag].T
+
+
+def _scan_solve(
+    n: int,
+    den_rev: np.ndarray,
+    forced: np.ndarray,
+    lag: int,
+    h: float,
+    limit: float,
+    inverse: np.ndarray,
+    weights_hi: np.ndarray,
+) -> np.ndarray | None:
+    """The n samples of a run with lag < LEAF, by two block scans (module docstring, step 5).
+
+    Returns None when the scan is too ill-conditioned for one refinement.
+    """
+    den_weights = den_rev[::-1]
+    # Row r < lag of a leaf takes den_weights[lag + r - t] times sample t of
+    # the previous leaf's last lag samples; the weights past lag are zero.
+    lags = lag + np.subtract.outer(np.arange(lag), np.arange(lag))
+    coupling = inverse[:, :lag] @ den_weights[lags]
+    leaves = np.empty((-(-n // LEAF), LEAF))
+    flat = leaves.reshape(-1)
+    y = flat[:n]
+    # The forced side saturates at sample lag, inside the first leaf.
+    leaves[:] = inverse @ np.full(LEAF, forced[lag])
+    leaves[0] = inverse @ forced[np.minimum(np.arange(LEAF), lag)]
+    _block_scan(leaves, coupling)
+    flat[n:] = 0.0
+    good = _leaves_below(np.abs(leaves).max(axis=1), limit)
+    if good:
+        band_hi = weights_hi[: lag + 1]
+        # Passed on without a name here, rhs is freed once the residual has used it.
+        residual = _band_residual(
+            np.concatenate((forced[:lag], np.full(good * LEAF - lag, forced[lag]))),
+            leaves[:good],
+            band_hi,
+            den_weights[: lag + 1] - band_hi,
+        )
+        correction = residual.reshape(good, LEAF) @ inverse.T
+        del residual
+        _block_scan(correction, coupling)
+        correction.reshape(-1)[n:] = 0.0
+        leaves[:good] += correction
+        peaks = np.abs(leaves[:good]).max(axis=1)
+        # One refinement leaves about the square of the correction's share
+        # of the peak (module docstring, step 5).
+        if not np.abs(correction).max() <= math.sqrt(np.finfo(float).eps) * peaks.max():
+            return None
+        good = _leaves_below(peaks, limit)
+    if good * LEAF < n:
+        _recurse(y, good * LEAF, den_rev, forced, lag, h)
+    return y
+
+
+def _leaves_below(peaks: np.ndarray, limit: float) -> int:
+    """How many leaves come before the first whose peak is non-finite or reaches limit."""
+    bad = np.flatnonzero(~(peaks < limit))
+    return int(bad[0]) if len(bad) else len(peaks)
+
+
 def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepResponse:
     """Unit-step response of a fractional transfer function from rest.
 
@@ -300,11 +454,6 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     # Unit step input: the forced side at step k is the prefix sum of the
     # input weights, saturating once the memory window is full.
     forced = np.cumsum(_combined_weights(tf.numerator.terms, h, lag + 1))
-    # The lags below LEAF alone, for the corner of an FFT block.
-    near_rev = np.concatenate((np.zeros(LEAF), den_rev[end + 1 - LEAF :]))
-    y = np.zeros(n)
-    history = np.zeros(n)
-    spectra = {}
     # An overflow shows up as a non-finite sample, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         # Below this size no partial sum of the recursion can overflow, so a
@@ -314,7 +463,16 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
         leaf_weights = den_weights[:LEAF]
         inverse = _toeplitz(_series_inverse(leaf_weights))
         weights_hi = _split(leaf_weights, np.abs(leaf_weights).max())
+        if lag < LEAF:
+            y = _scan_solve(n, den_rev, forced, lag, h, limit, inverse, weights_hi)
+            if y is not None:
+                return StepResponse(time_step=h, samples=y)
         den_hi, den_lo = _toeplitz(weights_hi), _toeplitz(leaf_weights - weights_hi)
+        # The lags below LEAF alone, for the corner of an FFT block.
+        near_rev = np.concatenate((np.zeros(LEAF), den_rev[end + 1 - LEAF :]))
+        y = np.zeros(n)
+        history = np.zeros(n)
+        spectra = {}
         for start in range(0, n, LEAF):
             stop = min(start + LEAF, n)
             size = stop - start

@@ -178,6 +178,22 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=name):
                 make_config(**{name: flag})
 
+    @pytest.mark.parametrize("name", ["swarm_size", "max_iterations", "seed"])
+    def test_non_integers_refused(self, name):
+        # Before the check, swarm_size=2.5 and seed=1.5 were accepted and
+        # failed later inside minimize with a TypeError.
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=name):
+                make_config(**{name: value})
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
+    def test_numpy_integers_accepted(self, kind):
+        config = make_config(swarm_size=kind(4), max_iterations=kind(3), seed=kind(2))
+        got = minimize(config, sphere)
+        expected = minimize(make_config(swarm_size=4, max_iterations=3, seed=2), sphere)
+        assert np.array_equal(got.best_position, expected.best_position)
+        assert got.fitness_history == expected.fitness_history
+
 
 class TestInitialize:
     def test_positions_within_bounds(self):

@@ -15,10 +15,12 @@ from fopid.simulate import (
     MAX_STEP_MEMORY_PRODUCT,
     SimConfig,
     SimulationDiverged,
+    _band_residual,
     _combined_weights,
     _leaf_residual,
     _series_inverse,
     _split,
+    _split_leaves,
     _toeplitz,
     gl_weights,
     simulate_step,
@@ -517,10 +519,16 @@ class TestLeafSolve:
         simulate_step(tf, SimConfig(time_step=1e-3, horizon=50.0))
         assert spectra == {2 * width: 1 for width in (512, 1024, 2048, 4096, 8192, 16384, 32768)}
 
-    def test_peak_memory_at_full_memory(self):
-        # The FFT blocks' transients stay within a few arrays of n samples:
-        # at 50 s the widest block is 32768 samples, an FFT of 65536 points.
-        tf = REFERENCE_LOOPS["fractional_plant/fractional"]
+    @pytest.mark.parametrize(
+        "tf",
+        [*REFERENCE_LOOPS.values(), FIRST_ORDER, second_order(0.65, 2.2)],
+        ids=[*REFERENCE_LOOPS, "first_order", "second_order"],
+    )
+    def test_peak_memory_at_full_memory(self, tf):
+        # The FFT blocks' transients, and the weight spectra kept while their
+        # width can recur, stay within a few arrays of n samples: at 50 s the
+        # widest block is 32768 samples, an FFT of 65536 points. The integer
+        # loops take the block scan, which holds a few arrays of n at once.
         cfg = SimConfig(time_step=1e-3, horizon=50.0)
         tracemalloc.start()
         try:
@@ -557,3 +565,133 @@ class TestLeafSolve:
                     assert len(got) == len(expected)
                     diverged += bad is not None
         assert diverged == 28
+
+
+class TestBlockScan:
+    """Runs whose memory is shorter than a leaf, solved by two block scans.
+
+    Every loop of integer orders takes this path, and so does any loop with
+    memory_length < LEAF, unless the scan's correction shows it too
+    ill-conditioned for one refinement and the leaves solve the run. The
+    gates at memory 1, 5 and 127 in TestLeafSolve reach it too.
+    """
+
+    @pytest.mark.parametrize(
+        "tf",
+        [FIRST_ORDER, second_order(0.65, 2.2), REFERENCE_LOOPS["servo_plant/integer"]],
+        ids=["first_order", "second_order", "servo_plant/integer"],
+    )
+    def test_integer_loops_within_ten_times_recursion_at_50s(self, tf):
+        # The weights past the highest order are exactly 0, so the recursion
+        # at a memory of that order is the full-memory one, and 5e4 samples
+        # of it run in longdouble in about a second.
+        top = int(max(e for _, e in tf.numerator.terms + tf.denominator.terms))
+        cfg = SimConfig(time_step=1e-3, horizon=50.0, memory_length=top)
+        full = simulate_step(tf, replace(cfg, memory_length=None)).samples
+        assert full.tobytes() == simulate_step(tf, cfg).samples.tobytes()
+        assert_within_ten_times_recursion(tf, cfg)
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_ill_conditioned_scan_left_to_leaves(self, order):
+        # (s + 1)^order at 1 ms: the last `order` samples of a leaf are so
+        # nearly equal that the 128-step map between tails has entries of
+        # 1.5e4 at order 3 and 1e6 at order 4, and after one refinement the
+        # scan alone would be 2e4 (order 4) and 3e9 (order 5) times the
+        # recursion's error. Its correction, above sqrt(eps) of the peak,
+        # hands the run to the leaves.
+        tf = FractionalTransferFunction.from_terms(
+            [(1.0, 0.0)], [(float(math.comb(order, k)), float(k)) for k in range(order + 1)]
+        )
+        assert_within_ten_times_recursion(tf, SimConfig(time_step=1e-3, horizon=3.0))
+
+    def test_divergence_index_matches_recursion(self):
+        # Negative gains: integer PIDs on the servo, whose recursion is
+        # compared at a memory of the loop's order, 3, where it sums the
+        # same three products in the same order as simulate_step's; and the
+        # fractional reference controllers at memory 5 and 100, where every
+        # loop grows. Past its first bad leaf the scan's samples may be
+        # anything, and the recursion takes over from that leaf.
+        rng = np.random.default_rng(16)
+        cases = [
+            (
+                closed_loop(
+                    controller_tf(
+                        ControllerParams(
+                            -(10 ** rng.uniform(2, 7)), rng.uniform(1, 500), rng.uniform(1, 500),
+                            1.0, 1.0,
+                        )
+                    ),
+                    benchmarks.servo_plant(),
+                ),
+                SimConfig(time_step=1e-3, horizon=3.0, memory_length=3),
+            )
+            for _ in range(20)
+        ]
+        for label in ("fractional_plant/fractional", "servo_plant/fractional"):
+            make_plant, params = REFERENCE_CONTROLLERS[label]
+            for kp in (-1.0, -1e2, -1e4, -1e6):
+                tf = closed_loop(controller_tf(replace(params, kp=kp)), make_plant())
+                for memory in (5, 100):
+                    cases.append((tf, SimConfig(time_step=1e-3, horizon=10.0, memory_length=memory)))
+        diverged = 0
+        for tf, cfg in cases:
+            got, bad = simulate_or_partial(tf, cfg)
+            expected, expected_bad = reference_step(tf, cfg)
+            assert bad == expected_bad, cfg
+            assert len(got) == len(expected)
+            if bad is not None:
+                diverged += 1
+                assert np.all(
+                    np.abs(got - expected) <= 1e-8 * np.maximum(np.abs(expected), 1.0)
+                ), cfg
+        assert diverged == 13
+
+    @pytest.mark.parametrize("memory", [1, 5, LEAF - 1])
+    @pytest.mark.parametrize("label", [*REFERENCE_LOOPS, "alternating"])
+    def test_band_residual_is_exact_across_leaf_boundaries(self, label, memory):
+        # As test_split_residual_is_exact, over three leaves of one run whose
+        # peaks differ by up to 1e6, so that the first rows of a leaf read
+        # samples of the leaf before, which has another quantum.
+        # conv(weights_hi, y_hi) must be exact in any summation order; the
+        # residual may be off by a few ulps of itself plus the rounding of
+        # the (memory + 2)-term sums of the low parts.
+        rng = np.random.default_rng(16)
+        if label == "alternating":
+            weights = (-1.0) ** np.arange(memory + 1) * (1 - rng.random(memory + 1) / 64) * 2.0**36
+        else:
+            weights = _combined_weights(
+                REFERENCE_LOOPS[label].denominator.terms, 1e-3, memory + 1
+            )
+        weights_hi = _split(weights, np.abs(weights).max())
+        weights_lo = weights - weights_hi
+        exact_weights = [Fraction(w) for w in weights]
+        # Up by 1e6, then down by 1e3: a leaf's last samples are read on
+        # a larger quantum, then on a smaller one.
+        scales = np.array([[1e-3], [1e3], [1.0]])
+        signs = (-1.0) ** np.arange(3 * LEAF).reshape(3, LEAF)
+        for leaves in (
+            rng.standard_normal((3, LEAF)) * scales,
+            signs * (1 - rng.random((3, LEAF)) / 64) * scales,
+        ):
+            y = leaves.reshape(-1)
+            y_hi = _split_leaves(leaves, memory).reshape(-1)
+            exact = np.convolve(weights_hi, y_hi)[: len(y)]
+            rows = [
+                math.fsum(weights_hi[m] * y_hi[i - m] for m in range(min(i, memory) + 1))
+                for i in range(len(y))
+            ]
+            assert np.array_equal(exact, rows)
+            rhs = np.convolve(weights, y)[: len(y)]
+            got = _band_residual(rhs, leaves, weights_hi, weights_lo)
+            exact_y = [Fraction(value) for value in y]
+            truth = [
+                Fraction(rhs[i])
+                - sum(exact_weights[m] * exact_y[i - m] for m in range(min(i, memory) + 1))
+                for i in range(len(y))
+            ]
+            error = np.array([float(Fraction(g) - t) for g, t in zip(got, truth)])
+            low = np.convolve(np.abs(weights_lo), np.abs(y))[: len(y)]
+            low += np.convolve(np.abs(weights_hi), np.abs(y - y_hi))[: len(y)]
+            eps = np.finfo(float).eps
+            bound = 2 * eps * (np.abs(np.array(truth, dtype=float)) + (memory + 3) * low)
+            assert np.all(np.abs(error) <= bound), np.max(np.abs(error) / bound)
