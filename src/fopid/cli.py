@@ -387,6 +387,7 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
         results[run_mode] = {
             "params": _params_dict(params),
             "fitness": swarm.best_fitness,
+            "fitness_floor": swarm.fitness_floor,
             "swarm_fitness": swarm.swarm_fitness,
             "iterations": swarm.iterations_run,
             "stop_reason": swarm.stop_reason,
@@ -407,6 +408,7 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
         for key in PARAM_KEYS:
             lines.append(f"  {key} = {entry['params'][key]!r}")
         lines.append(f"  fitness = {entry['fitness']!r}")
+        lines.append(f"  fitness floor = {entry['fitness_floor']!r}")
         lines.append(f"  swarm fitness = {entry['swarm_fitness']!r}")
         lines.append(f"  iterations = {entry['iterations']}")
         lines.append(f"  stop reason = {entry['stop_reason']}")
@@ -419,6 +421,13 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
             f"{run_mode}: fitness {entry['fitness']:.6g} after {entry['iterations']} "
             f"iterations (stop: {entry['stop_reason']})"
         )
+        if entry["stop_reason"] == "floor":
+            print(
+                f"{run_mode}: the target {target!r} is below the rounding floor "
+                f"{entry['fitness_floor']:.6g} of the residual at the solved point; "
+                "the swarm stopped there",
+                file=sys.stderr,
+            )
     print(f"report written to {out_dir}")
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 

@@ -37,10 +37,11 @@ import numpy as np
 
 # (N, dims) positions -> (N,) fitness values.
 FitnessFunction = Callable[[np.ndarray], np.ndarray]
-# A deterministic local step from one position: the improved point and its
-# fitness, or None when it has nothing to offer.
-PolishFunction = Callable[[np.ndarray], tuple[np.ndarray, float] | None]
-StopReason = Literal["solve", "target", "budget"]
+# A deterministic local step from one position: the improved point, its
+# fitness, and its fitness floor (the lowest fitness that rounding lets that
+# point show, 0 when there is none), or None when it has nothing to offer.
+PolishFunction = Callable[[np.ndarray], tuple[np.ndarray, float, float] | None]
+StopReason = Literal["solve", "floor", "target", "budget"]
 
 # Constriction coefficients (module docstring).
 INERTIA = 0.729
@@ -111,9 +112,11 @@ class SwarmResult:
 
     swarm_fitness is the gbest fitness the swarm itself held when it stopped.
     It equals best_fitness unless a polished point (see minimize) was lower;
-    that point then becomes best_position and best_fitness, and replaces the
-    last history entry. stop_reason is "solve" when a polished point met the
-    target, "target" when the swarm's own gbest did, and "budget" when the
+    that point then becomes best_position and best_fitness, replaces the last
+    history entry, and gives fitness_floor its floor (None when the swarm's
+    own point is kept). stop_reason is "solve" when a polished point met the
+    target, "floor" when one reached its own floor above the target, "target"
+    when the swarm's own gbest met the target, and "budget" when the
     iterations ran out.
     """
 
@@ -123,6 +126,7 @@ class SwarmResult:
     fitness_history: list[float]
     swarm_fitness: float
     stop_reason: StopReason
+    fitness_floor: float | None
 
 
 def initialize(config: PsoConfig, rng: np.random.Generator) -> Swarm:
@@ -189,16 +193,15 @@ def step(
 def _stop_reason(
     config: PsoConfig,
     best_fitness: float,
-    polished: tuple[np.ndarray, float] | None,
+    polished: tuple[np.ndarray, float, float] | None,
     iterations: int,
 ) -> StopReason | None:
     """Why the run stops now, or None to run another iteration."""
-    if (
-        polished is not None
-        and polished[1] < best_fitness
-        and polished[1] <= config.target_fitness
-    ):
-        return "solve"
+    if polished is not None and polished[1] < best_fitness:
+        if polished[1] <= config.target_fitness:
+            return "solve"
+        if polished[1] <= polished[2]:
+            return "floor"
     if best_fitness <= config.target_fitness:
         return "target"
     if iterations >= config.max_iterations:
@@ -219,10 +222,11 @@ def minimize(
     polish, when given, is called on the first gbest and again each time
     gbest strictly improves; it never touches the swarm or its random stream.
     The run stops with stop_reason "solve" as soon as a polished point is
-    strictly below the gbest it came from and meets target_fitness. On a
-    "target" or "budget" stop, the latest polished point is kept if it is
-    below the final gbest. Either way the kept point replaces the last
-    history entry.
+    strictly below the gbest it came from and meets target_fitness, and with
+    "floor" when such a point misses the target but is at or below its own
+    floor: more iterations could only move its rounding. On a "target" or
+    "budget" stop, the latest polished point is kept if it is below the final
+    gbest. Either way the kept point replaces the last history entry.
     """
     rng = np.random.default_rng(config.seed)
     swarm = initialize(config, rng)
@@ -243,9 +247,16 @@ def minimize(
         if polish is not None and best_fitness < previous:
             polished = polish(best_position)
     swarm_fitness = best_fitness
+    fitness_floor = None
     if polished is not None and polished[1] < best_fitness:
-        best_position, best_fitness = polished
+        best_position, best_fitness, fitness_floor = polished
         history[-1] = best_fitness
     return SwarmResult(
-        best_position.copy(), best_fitness, iterations, history, swarm_fitness, stop_reason
+        best_position.copy(),
+        best_fitness,
+        iterations,
+        history,
+        swarm_fitness,
+        stop_reason,
+        fitness_floor,
     )

@@ -93,11 +93,12 @@ samples before its leaf, builds up in a ``history`` array:
    instead.
 
 The FFT blocks cost about steps x log(memory)^2, where the per-sample
-recursion cost steps x memory. Measured against the same recursion in
-80-bit extended precision on the same float64 weights, the result is as
-accurate as the per-sample recursion in float64: over 78 bundled, tuned
-and random closed loops at full memory, at most 2.13 times its error and
-0.26 times in the median at 3 s, and at most 1.04 times at 10 s. The 3 s
+recursion cost steps x memory. Measured against the same recursion on the
+same float64 weights with double-double samples and exact history dots,
+the result is as accurate as the per-sample recursion in float64: over 78
+bundled, tuned and random closed loops at full memory, at most 2.13 times
+its error and 0.24 times in the median at 3 s, and at most 1.04 times at
+10 s. The 3 s
 maximum is a loop that amplifies every sample's rounding alike, where an
 exactly rounded residual gives 2.61. On the block scan of step 5, the
 servo's integer loop and first- and second-order loops are at most 0.041
@@ -128,8 +129,9 @@ LEAF = 128
 FFT_MIN = 512
 MAX_STEPS = 10_000_000
 # Cap on steps x memory, kept from when the history sum took that many
-# multiply-adds. It counts the configured memory, also for a loop of integer
-# orders that runs with a memory of its highest order. With the FFT blocks a
+# multiply-adds. simulate_step checks it against the memory a run uses, so a
+# loop of integer orders, which runs with a memory of its highest order, is
+# never refused by it. With the FFT blocks a
 # run costs about 0.7 us per sample plus FFTs growing as
 # steps x log(memory)^2: on a loaded 2-core VM with one BLAS thread, the
 # fractional reference loop took 0.081-0.10 s for 1e5 samples at full
@@ -166,12 +168,6 @@ class SimConfig:
             memory = self.memory_length
             if isinstance(memory, bool) or not isinstance(memory, int) or memory < 1:
                 raise ValueError("memory_length must be a positive integer or None")
-        if self.steps * self.memory > MAX_STEP_MEMORY_PRODUCT:
-            raise ValueError(
-                f"steps x memory = {self.steps} x {self.memory} exceeds "
-                f"{MAX_STEP_MEMORY_PRODUCT:.0e}; shorten the history with "
-                "memory_length, or the horizon"
-            )
 
     @property
     def steps(self) -> int:
@@ -428,9 +424,10 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     """Unit-step response of a fractional transfer function from rest.
 
     Raises:
-        ValueError: if the output isolation coefficient sum_i a_i h^-alpha_i
-            is zero (the update cannot be solved for y_k), or if the weights
-            overflow at this time_step.
+        ValueError: if steps x memory exceeds MAX_STEP_MEMORY_PRODUCT, with
+            the memory this run uses; if the output isolation coefficient
+            sum_i a_i h^-alpha_i is zero (the update cannot be solved for
+            y_k); or if the weights overflow at this time_step.
         SimulationDiverged: on the first non-finite sample; the exception
             carries the finite prefix.
     """
@@ -442,6 +439,11 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
         # Every weight past the highest order is exactly 0, so a longer
         # memory would only sum zeros.
         lag = min(lag, max(1, int(max(orders))))
+    if n * lag > MAX_STEP_MEMORY_PRODUCT:
+        raise ValueError(
+            f"steps x memory = {n} x {lag} exceeds {MAX_STEP_MEMORY_PRODUCT:.0e}; "
+            "shorten the history with memory_length, or the horizon"
+        )
     # den_rev[end - j] = den_weights[j]. The leading zeros give no weight to
     # lags past the memory window: a direct block reaches at most
     # min(lag, FFT_MIN) past it, and a leaf needs LEAF weights.

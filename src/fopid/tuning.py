@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
@@ -36,11 +37,13 @@ DEFAULT_TD_BOUNDS = (1.0, 500.0)
 DEFAULT_ORDER_BOUNDS = (0.0, 2.0)
 
 # Real part the (ti, td) solve aims the residual at, with I = 0. An exact root
-# would leave the phase term atan(I/R) at 0/0, so f would be rounding noise;
-# 5e-7 sits well above the cancellation floor of the residual's terms. A
-# solved point has f = |R| + |I| + |atan(I/R)|, slightly above R itself, so R
-# is set to half the default target of 1e-6: aimed at 1e-6, f lands near
-# 1.01e-6 and the swarm could never stop on a solve at that target.
+# would leave the phase term atan(I/R) at 0/0, so f would be rounding noise.
+# A solved point has f = |R| + |I| + |atan(I/R)|, slightly above R itself, so
+# R is set to half the default target of 1e-6: aimed at 1e-6, f lands near
+# 1.01e-6 and the swarm could never stop on a solve at that target. Where the
+# residual's terms are large, the kernel's rounding of I, divided by R, keeps
+# f above 1e-6 at most solved points (up to 4e-5 on the servo); solve_gains
+# returns that rounding floor, and the swarm stops on it (stop_reason "floor").
 SOLVE_REAL_TARGET = 5e-7
 
 # Signs that turn the orders (lam, delta) into the exponents (-lam, delta) of p.
@@ -329,8 +332,8 @@ def default_pso_config(problem: TuningProblem, **overrides) -> PsoConfig:
 
 def solve_gains(
     position: np.ndarray, problem: TuningProblem
-) -> tuple[np.ndarray, float] | None:
-    """The position with (ti, td) solved so that R = SOLVE_REAL_TARGET, I = 0, and its f.
+) -> tuple[np.ndarray, float, float] | None:
+    """The position with (ti, td) solved so that R = SOLVE_REAL_TARGET, I = 0, its f and floor.
 
     The cleared residual Dp(p) + Np(p)*(kp + ti*p^-lam + td*p^delta) is affine
     in (ti, td), so with (kp, lam, delta) held the two real equations are a
@@ -338,28 +341,50 @@ def solve_gains(
     uses, and f comes from the same kernel, so it equals
     residual(problem.decode(solved), problem).f bit for bit. Returns None when
     the system is singular or its solution leaves the parameter box.
+
+    The floor is the largest f the kernel can show at a point whose exact
+    residual is R + 0j, when its rounding moves r and i each by at most
+    E = eps*(|Dp| + |Np|*(|kp| + |ti*p^-lam| + |td*p^delta|)): then
+    f <= R + 2E + atan(E/(R - E)). That E is a measured bound, not the worst
+    case. The first-order worst case of the kernel's six or so roundings in
+    a row is about 3.6 E (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3), but they do not line up: over 20,000 random in-box
+    solved points per bundled plant/mode pair, the kernel's rounding reached
+    0.47 E, and |I| itself, the solve's own error included, 0.78 E.
     """
     solved = np.array(position, dtype=float)
     if solved.shape != (problem.dims,):
         raise ValueError(f"{problem.mode} mode expects a {problem.dims}-vector")
     powers = _position_powers(problem, solved[np.newaxis])
     den_value, num_value = problem.plant_at_poles[0]
-    base = den_value + float(solved[0]) * num_value
+    kp = float(solved[0])
+    base = den_value + kp * num_value
     u, v = (num_value * power for power in powers[0].tolist())
     det = u.real * v.imag - v.real * u.imag
     if det == 0.0:
         return None
     rhs_r = SOLVE_REAL_TARGET - base.real
     rhs_i = -base.imag
-    solved[1] = (rhs_r * v.imag - v.real * rhs_i) / det
-    solved[2] = (u.real * rhs_i - u.imag * rhs_r) / det
+    ti = (rhs_r * v.imag - v.real * rhs_i) / det
+    td = (u.real * rhs_i - u.imag * rhs_r) / det
+    solved[1] = ti
+    solved[2] = td
     lower, upper = problem.box
     # Written so that a NaN or infinite solution also counts as outside.
     if not all(
         lo <= x <= hi for lo, x, hi in zip(lower.tolist(), solved.tolist(), upper.tolist())
     ):
         return None
-    return solved, float(_residual_columns(problem, solved[np.newaxis, :3], powers)[3][0])
+    fitness = float(_residual_columns(problem, solved[np.newaxis, :3], powers)[3][0])
+    error = sys.float_info.epsilon * (
+        abs(den_value) + abs(kp * num_value) + abs(ti) * abs(u) + abs(td) * abs(v)
+    )
+    floor = (
+        SOLVE_REAL_TARGET
+        + 2.0 * error
+        + math.atan2(error, max(SOLVE_REAL_TARGET - error, 0.0))
+    )
+    return solved, fitness, floor
 
 
 def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, SwarmResult]:
@@ -369,11 +394,12 @@ def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, Swar
     keeps its (kp, lam, delta), solves the gains (ti, td) exactly and scores
     the solved point; it is minimize()'s polish step. A solved point counts
     only if it lies in the box and its fitness is strictly lower than the
-    gbest it came from. The swarm
-    stops (stop_reason "solve") as soon as such a point meets the target;
-    otherwise the last solved point is kept after a "target" or "budget" stop
-    if it is lower. A kept point's fitness becomes best_fitness and the last
-    fitness_history entry (the history keeps iterations_run + 1 entries).
+    gbest it came from. The swarm stops (stop_reason "solve") as soon as
+    such a point meets the target, or ("floor") as soon as one is at or below
+    the floor solve_gains() gives it; otherwise the last solved point is kept
+    after a "target" or "budget" stop if it is lower. A kept point's fitness
+    becomes best_fitness and the last fitness_history entry (the history
+    keeps iterations_run + 1 entries), and its floor result.fitness_floor.
     result.swarm_fitness keeps the swarm's own gbest either way.
 
     The returned parameters reproduce the reported fitness exactly:

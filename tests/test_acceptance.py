@@ -104,7 +104,7 @@ def test_criterion_4_pso_convergence():
     stop_counts = {}
     for name, problem in cases:
         hits = swarm_hits = 0
-        stops = {"solve": 0, "target": 0, "budget": 0}
+        stops = {"solve": 0, "floor": 0, "target": 0, "budget": 0}
         for seed in range(10):
             config = default_pso_config(problem, seed=seed)
             assert config.swarm_size == 30

@@ -383,9 +383,14 @@ class TestTune:
         text = (out / "tune_report.txt").read_text()
         for mode in ("integer", "fractional"):
             reason = report["results"][mode]["stop_reason"]
-            assert reason in ("solve", "target", "budget")
+            assert reason in ("solve", "floor", "target", "budget")
             assert f"(stop: {reason})" in stdout
         assert text.count("stop reason = ") == 2
+        for entry in report["results"].values():
+            floor = entry["fitness_floor"]
+            assert f"  fitness floor = {floor!r}\n" in text
+            # A floor is given exactly when a solved point was kept.
+            assert (floor is None) == (entry["fitness"] == entry["swarm_fitness"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["command"] == "tune"
@@ -408,6 +413,26 @@ class TestTune:
         main(["tune", "--config", str(config), "--out", str(out), "--seed", "99"])
         report = json.loads((out / "tune_report.json").read_text())
         assert report["seed"] == 99
+
+    def test_floor_stop_says_the_target_is_below_the_floor(self, tmp_path, capsys):
+        # The servo's solved points read f of about 6e-6 and more, above the
+        # 1e-6 target: the run stops on the floor and still exits 2.
+        text = FRACTIONAL_PLANT.replace(
+            "numerator: [[1.0, 0.0]]", "numerator: [[400.0, 0.0]]"
+        ).replace(
+            "denominator: [[0.8, 2.2], [0.5, 0.9], [1.0, 0.0]]",
+            "denominator: [[1.0, 2.0], [50.0, 1.0]]",
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = main(["tune", "--config", str(config), "--out", str(out), "--mode", "integer"])
+        assert code == 2
+        entry = json.loads((out / "tune_report.json").read_text())["results"]["integer"]
+        assert entry["stop_reason"] == "floor"
+        assert 1e-6 < entry["fitness"] <= entry["fitness_floor"]
+        assert entry["converged"] is False
+        err = capsys.readouterr().err
+        assert "integer: the target 1e-06 is below the rounding floor" in err
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         text = FRACTIONAL_PLANT.replace("iterations: 25", "iterations: 2").replace(
@@ -638,10 +663,32 @@ include_open_loop: true
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "sim: steps x memory" in err
+        assert "curve 'open_loop': steps x memory" in err
         assert "memory_length" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+        # verify simulates nothing, so the run's cost does not concern it.
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "v")]) == 0
+
+    def test_long_integer_loop_accepted(self, tmp_path, capsys):
+        # The servo's integer PID runs with a memory of 3, its highest order,
+        # so 2e5 samples at full memory stay far below the cap.
+        text = (
+            self.CONFIG.replace("numerator: [[1.0, 0.0]]", "numerator: [[400.0, 0.0]]")
+            .replace(
+                "denominator: [[0.8, 2.2], [0.5, 0.9], [1.0, 0.0]]",
+                "denominator: [[1.0, 2.0], [50.0, 1.0]]",
+            )
+            .replace("horizon: 2.0", "horizon: 200.0")
+            .replace("include_open_loop: true", "include_open_loop: false")
+            .replace("{kp: 214.84, ti: 361.57, td: 76.76,", "{kp: 3.2, ti: 5.41, td: 1.0,")
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())["classic"]
+        assert metrics["stable"] is True
+        assert metrics["diverged_at_sample"] is None
 
 
 class TestVerify:

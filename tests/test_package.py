@@ -35,11 +35,15 @@ def test_traced_entry_points_resolve():
 
 def test_no_longdouble_in_the_package():
     # numpy's longdouble is plain float64 on Windows and on macOS arm64, so
-    # code that needs its extra digits loses them there. The tests may still
-    # use it as their truth.
+    # code that needs its extra digits loses them there, and a test that
+    # takes it as its truth gates nothing there. This file is the one that
+    # names it.
+    paths = sorted((ROOT / "src" / "fopid").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")
+    )
     users = [
         path.name
-        for path in sorted((ROOT / "src" / "fopid").glob("*.py"))
-        if "longdouble" in path.read_text()
+        for path in paths
+        if path != Path(__file__).resolve() and "longdouble" in path.read_text()
     ]
-    assert not users, f"modules that use longdouble: {users}"
+    assert not users, f"files that use longdouble: {users}"

@@ -88,7 +88,8 @@ def reference_step(particles, best_position, best_fitness, config, rng, fitness)
 
 
 def reference_minimize(config, fitness, polish=None):
-    """Returns (best_position, best_fitness, fitness_history, swarm_fitness, stop_reason)."""
+    """Returns (best_position, best_fitness, fitness_history, swarm_fitness,
+    stop_reason, fitness_floor)."""
     rng = np.random.default_rng(config.seed)
     span = config.upper_bounds - config.lower_bounds
     particles = []
@@ -111,6 +112,9 @@ def reference_minimize(config, fitness, polish=None):
         if polished and polished[1] <= config.target_fitness and polished[1] < best_fitness:
             stop_reason = "solve"
             break
+        if polished and polished[1] <= polished[2] and polished[1] < best_fitness:
+            stop_reason = "floor"
+            break
         if best_fitness <= config.target_fitness:
             stop_reason = "target"
             break
@@ -123,14 +127,15 @@ def reference_minimize(config, fitness, polish=None):
         if polish and history[-1] < history[-2]:
             polished = polish(best_position)
     swarm_fitness = best_fitness
+    floor = None
     if polished and polished[1] < best_fitness:
-        best_position, best_fitness = polished
+        best_position, best_fitness, floor = polished
         history[-1] = best_fitness
-    return best_position, best_fitness, history, swarm_fitness, stop_reason
+    return best_position, best_fitness, history, swarm_fitness, stop_reason, floor
 
 
 def assert_matches_reference(config, fitness, polish=None):
-    position, best, history, swarm_fitness, stop_reason = reference_minimize(
+    position, best, history, swarm_fitness, stop_reason, floor = reference_minimize(
         config, fitness, polish
     )
     result = minimize(config, fitness, polish=polish)
@@ -140,9 +145,10 @@ def assert_matches_reference(config, fitness, polish=None):
     assert result.iterations_run == len(history) - 1
     assert result.swarm_fitness == swarm_fitness
     assert result.stop_reason == stop_reason
+    assert result.fitness_floor == floor
 
 
-def halve_if_positive(positions_seen):
+def halve_if_positive(positions_seen, floor=0.0):
     """A polish for sphere: x/2 when x[0] > 0, else nothing; records its inputs."""
 
     def polish(position):
@@ -150,7 +156,7 @@ def halve_if_positive(positions_seen):
         if position[0] <= 0.0:
             return None
         half = position / 2.0
-        return half, one_row(sphere, half)
+        return half, one_row(sphere, half), floor
 
     return polish
 
@@ -436,8 +442,8 @@ class TestPolish:
         # are below gbest but miss the target, never stop the run.
         config = make_config(max_iterations=30, target_fitness=0.5, seed=9)
         plain = minimize(config, sphere)
-        not_lower = minimize(config, sphere, polish=lambda x: (x, one_row(sphere, x)))
-        missing = minimize(config, sphere, polish=lambda x: (x / 2, 0.75))
+        not_lower = minimize(config, sphere, polish=lambda x: (x, one_row(sphere, x), 0.0))
+        missing = minimize(config, sphere, polish=lambda x: (x / 2, 0.75, 0.0))
         for result in (not_lower, missing):
             assert result.stop_reason == plain.stop_reason
             assert result.fitness_history == plain.fitness_history
@@ -447,8 +453,74 @@ class TestPolish:
         config = make_config(max_iterations=50, target_fitness=1e-2, seed=10)
         assert minimize(config, sphere).stop_reason == "target"
         assert minimize(replace(config, target_fitness=0.0), sphere).stop_reason == "budget"
-        solved = minimize(config, sphere, polish=lambda x: (x * 0.0, 0.0))
+        solved = minimize(config, sphere, polish=lambda x: (x * 0.0, 0.0, 0.0))
         assert solved.stop_reason == "solve"
         assert solved.iterations_run == 0
         assert solved.fitness_history == [0.0]
         assert solved.best_fitness == 0.0 < solved.swarm_fitness
+        assert solved.fitness_floor == 0.0
+        assert minimize(config, sphere).fitness_floor is None
+
+
+class TestFloorStop:
+    def test_matches_reference_on_sphere(self):
+        # x/2 reaches a floor of 0.1 long before the 1e-9 target; the
+        # reference stops on it at the same point.
+        for seed in range(3):
+            config = make_config(max_iterations=150, target_fitness=1e-9, seed=seed)
+            assert_matches_reference(config, sphere, halve_if_positive([], floor=0.1))
+
+    def test_solve_wins_over_floor(self):
+        # A polished point below its gbest that meets the target and its own
+        # floor stops on "solve".
+        config = make_config(max_iterations=50, target_fitness=1e-2, seed=10)
+        result = minimize(config, sphere, polish=lambda x: (x * 0.0, 0.0, 1.0))
+        assert result.stop_reason == "solve"
+        assert result.iterations_run == 0
+        assert result.fitness_floor == 1.0
+
+    def test_floor_stop_above_target(self):
+        config = make_config(max_iterations=50, target_fitness=0.0, seed=10)
+        result = minimize(config, sphere, polish=lambda x: (x * 0.0, 0.5, 0.5))
+        plain = minimize(config, sphere)
+        assert plain.fitness_history[0] > 0.5
+        assert result.stop_reason == "floor"
+        assert result.iterations_run == 0
+        assert result.best_fitness == result.fitness_floor == 0.5
+        assert result.fitness_history == [0.5]
+        assert result.swarm_fitness == plain.fitness_history[0]
+
+    def test_floor_stop_needs_improvement(self):
+        # A polished point at its floor but not strictly below the gbest it
+        # came from leaves the run as it is without a polish.
+        config = make_config(max_iterations=30, target_fitness=0.0, seed=9)
+        plain = minimize(config, sphere)
+        level = minimize(
+            config, sphere, polish=lambda x: (x, one_row(sphere, x), math.inf)
+        )
+        assert level.stop_reason == plain.stop_reason == "budget"
+        assert level.fitness_history == plain.fitness_history
+        assert level.best_position.tobytes() == plain.best_position.tobytes()
+        assert level.fitness_floor is None
+
+    def test_zero_floor_never_stops_on_floor(self):
+        # A polished f at or below a floor of 0 is 0, which meets any target,
+        # so only "solve" can fire; a positive f never reaches the floor.
+        config = make_config(max_iterations=40, target_fitness=0.0, seed=3)
+        seen = []
+        result = minimize(config, sphere, polish=halve_if_positive(seen))
+        assert result.stop_reason == "budget"
+        assert result.iterations_run == 40
+        assert len(seen) > 1
+
+    def test_floor_above_gbest_stops_at_first_polish_below(self):
+        # An infinite floor stops the run at the first polished point below
+        # its gbest, after the polish calls that came before it.
+        config = make_config(max_iterations=80, target_fitness=0.0, seed=5)
+        seen = []
+        result = minimize(config, sphere, polish=halve_if_positive(seen, floor=math.inf))
+        assert result.stop_reason == "floor"
+        assert result.best_fitness < result.swarm_fitness
+        assert all(position[0] <= 0.0 for position in seen[:-1])
+        assert seen[-1][0] > 0.0
+        assert_matches_reference(config, sphere, halve_if_positive([], floor=math.inf))

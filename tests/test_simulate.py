@@ -114,14 +114,23 @@ class TestSimConfig:
             SimConfig(time_step=0.01, horizon=1.0, memory_length="full")
 
     def test_cost_cap(self):
-        # 1e7 samples at full memory would run for hours; the error points at
+        # The cap counts the memory a run uses. 1e7 samples of a fractional
+        # loop at full memory would run for hours; the error points at
         # memory_length, and a short enough history is accepted.
+        cfg = SimConfig(time_step=1e-3, horizon=10_000.0)
         with pytest.raises(ValueError, match="memory_length"):
-            SimConfig(time_step=1e-3, horizon=10_000.0)
+            simulate_step(REFERENCE_LOOPS["fractional_plant/fractional"], cfg)
         assert SimConfig(time_step=1e-3, horizon=10_000.0, memory_length=500).memory == 500
         # The largest benchmarked run: 5e4 samples at full memory.
         cfg = SimConfig(time_step=1e-3, horizon=50.0)
         assert cfg.steps * cfg.memory <= MAX_STEP_MEMORY_PRODUCT
+        # The servo's integer PID runs with a memory of 3, its highest order,
+        # so 1e6 samples at full memory are accepted.
+        cfg = SimConfig(time_step=1e-3, horizon=1000.0)
+        assert cfg.steps * cfg.memory > MAX_STEP_MEMORY_PRODUCT
+        samples = simulate_step(REFERENCE_LOOPS["servo_plant/integer"], cfg).samples
+        assert len(samples) == cfg.steps
+        assert samples[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -263,20 +272,18 @@ class TestGlDerivative:
         assert np.array_equal(self.derivative(x, 0.0, 0.1), x)
 
 
-def reference_step(tf, cfg, dtype=float):
+def reference_step(tf, cfg):
     """The per-sample recursion that the leaf solve replaced, kept as a reference.
 
-    With ``dtype=np.longdouble`` it runs on the same float64 weights in
-    extended precision, which makes it the truth both float64 solvers are
-    measured against. Returns the samples (the finite prefix on divergence)
-    and the first non-finite index, or None.
+    Returns the samples (the finite prefix on divergence) and the first
+    non-finite index, or None.
     """
     lag = cfg.memory
-    den = _combined_weights(tf.denominator.terms, cfg.time_step, lag + 1).astype(dtype)
-    num = _combined_weights(tf.numerator.terms, cfg.time_step, lag + 1).astype(dtype)
+    den = _combined_weights(tf.denominator.terms, cfg.time_step, lag + 1)
+    num = _combined_weights(tf.numerator.terms, cfg.time_step, lag + 1)
     forced = np.cumsum(num)
     den_rev = den[::-1].copy()
-    y = np.zeros(cfg.steps, dtype)
+    y = np.zeros(cfg.steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(cfg.steps):
             kk = min(k, lag)
@@ -288,6 +295,105 @@ def reference_step(tf, cfg, dtype=float):
     return y, None
 
 
+# Veltkamp's splitter for float64: a * SPLITTER splits a into two halves of
+# 26 bits whose pairwise products are exact.
+SPLITTER = 2.0**27 + 1.0
+
+
+def two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker 1971)."""
+    p = a * b
+    t = SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = SPLITTER * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def exact_step(tf, cfg):
+    """The per-sample recursion on the same float64 weights, with every sample
+    a double-double (hi, lo) and every history dot exact to far below its
+    rounding; the truth the float64 solvers are measured against.
+
+    Each history dot is split as in Ozaki, Ogita, Oishi and Rump (2012): the
+    weights, and the samples it reads, are each cut into two slices on grids
+    of `bits` bits below their peak plus a remainder. Every product of two
+    slices is then a multiple of one quantum and every partial sum of width
+    of them stays below 2^53 quanta, so the four slice dots are exact in
+    BLAS's order; the five dots with a remainder are rounded, but their terms
+    are 2^-bits of the largest or less. The samples' grid follows the
+    largest sample a dot can read, so a loop that grows by orders of
+    magnitude keeps its relative accuracy. math.fsum adds the nine dots and
+    the double-double forced side exactly, and the quotient by the lag-0
+    weight is kept to double-double precision. It needs float64 alone, so it
+    gives the same truth on every platform. Weights past the last nonzero
+    one are skipped, as they only add exact zeros. Returns (hi, lo); a
+    non-finite sample fails the calling test.
+    """
+    lag = cfg.memory
+    den = _combined_weights(tf.denominator.terms, cfg.time_step, lag + 1)
+    num = _combined_weights(tf.numerator.terms, cfg.time_step, lag + 1)
+    width = min(lag, max(1, int(np.flatnonzero(den)[-1])))
+    bits = (53 - math.ceil(math.log2(width + 1))) // 2
+
+    def slices(values, top, rint=np.rint):
+        """values = first + second + rest, on grids of 2^(top - bits) and 2^(top - 2 bits)."""
+        first = rint(values * 2.0 ** (bits - top)) * 2.0 ** (top - bits)
+        second = rint((values - first) * 2.0 ** (2 * bits - top)) * 2.0 ** (top - 2 * bits)
+        return first, second, values - first - second
+
+    weights = den[1 : width + 1]
+    history_weights = np.vstack(slices(weights, math.frexp(np.abs(weights).max())[1]))
+    # The forced side at lag kk, a prefix sum of the input weights, as
+    # (sum, error) by a TwoSum cascade (Ogita, Rump and Oishi's Sum2).
+    forced = []
+    total = error = 0.0
+    for weight in num.tolist():
+        new_total = total + weight
+        part = new_total - total
+        error += (total - (new_total - part)) + (weight - part)
+        total = new_total
+        forced.append((total, error))
+    n = cfg.steps
+    # Column n - 1 - k holds sample k's two slices and its remainder plus lo,
+    # so that the samples a history dot reads, newest first, are contiguous.
+    sliced = np.zeros((3, n))
+    hi = np.zeros(n)
+    lo = np.zeros(n)
+    lead = float(den[0])
+    top = -1074  # every nonzero sample so far is below 2^top
+    for k in range(n):
+        kk = min(k, width)
+        terms = list(forced[min(k, lag)])
+        if kk:
+            dots = history_weights[:, :kk] @ sliced[:, n - k : n - k + kk].T
+            terms += (-dots).ravel().tolist()
+        numerator = math.fsum(terms)
+        numerator_lo = math.fsum(terms + [-numerator])
+        quotient = numerator / lead
+        assert math.isfinite(quotient), f"the exact recursion diverged at sample {k}"
+        product, product_error = two_product(quotient, lead)
+        quotient_lo = math.fsum([numerator, numerator_lo, -product, -product_error]) / lead
+        hi[k] = value = quotient + quotient_lo
+        lo[k] = quotient_lo - (value - quotient)
+        if not value:
+            continue
+        if math.frexp(value)[1] > top:
+            # A coarser grid, for every sample that later dots read.
+            top = math.frexp(value)[1]
+            first = max(0, k + 1 - width)
+            first_slice, second_slice, rest = slices(hi[first : k + 1], top)
+            sliced[:, n - 1 - k : n - first] = np.vstack(
+                (first_slice, second_slice, rest + lo[first : k + 1])
+            )[:, ::-1]
+        else:
+            first_slice, second_slice, rest = slices(value, top, round)
+            sliced[:, n - 1 - k] = (first_slice, second_slice, rest + lo[k])
+    return hi, lo
+
+
 def simulate_or_partial(tf, cfg):
     try:
         return simulate_step(tf, cfg).samples, None
@@ -297,12 +403,13 @@ def simulate_or_partial(tf, cfg):
 
 def assert_within_ten_times_recursion(tf, cfg):
     """simulate_step is at most 10x as far as the float64 recursion from the
-    longdouble recursion, both relative to max |y|."""
-    truth, _ = reference_step(tf, cfg, np.longdouble)
+    exact recursion, both relative to max |y|."""
     recursion, _ = reference_step(tf, cfg)
-    scale = np.max(np.abs(truth))
-    error = float(np.max(np.abs(simulate_step(tf, cfg).samples - truth)) / scale)
-    recursion_error = float(np.max(np.abs(recursion - truth)) / scale)
+    hi, lo = exact_step(tf, cfg)
+    scale = np.abs(hi).max()
+    # Each difference from hi is exact where the two agree to a factor of 2.
+    error = float(np.max(np.abs((simulate_step(tf, cfg).samples - hi) - lo)) / scale)
+    recursion_error = float(np.max(np.abs((recursion - hi) - lo)) / scale)
     assert error <= 10 * recursion_error, (cfg, error, recursion_error)
 
 
@@ -336,7 +443,7 @@ class TestLeafSolve:
     """
 
     # fractional_plant/fractional is left out: its recursion is off the
-    # longdouble truth by about 3e-8, so any change of summation order moves
+    # exact one by about 3.6e-8, so any change of summation order moves
     # it by a few 1e-9. The accuracy gates below cover it.
     @pytest.mark.parametrize(
         "label", ["fractional_plant/integer", "servo_plant/integer", "servo_plant/fractional"]
@@ -361,7 +468,7 @@ class TestLeafSolve:
         ids=["first_order", "second_order", *REFERENCE_LOOPS],
     )
     def test_error_within_ten_times_recursion(self, tf):
-        # Both float64 solvers against the longdouble recursion, relative to
+        # Both float64 solvers against the exact recursion, relative to
         # max |y|; the leaf solve may be at most 10x worse than the recursion.
         # At 10 s the history blocks of a fractional-order loop reach 8192
         # samples, most of them by FFT.
@@ -377,9 +484,9 @@ class TestLeafSolve:
         # where a block is clipped to the memory window; 8193 steps end on a
         # one-sample leaf, so the last block has one output. The servo's
         # integer loop has no history past lag 2 and is left out. At memory
-        # 127-129 the float64 recursion sits up to 6e-6 from the longdouble
-        # truth relative to max(|y|, 1), so the gate is against the truth,
-        # not the recursion.
+        # 127-129 the float64 recursion sits up to 8e-6 from the exact one
+        # relative to max(|y|, 1), so the gate is against the truth, not the
+        # recursion.
         h = 1e-3
         for steps in (5000, 8193):
             for memory in (127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 2000):
@@ -387,14 +494,45 @@ class TestLeafSolve:
                 assert cfg.steps == steps
                 assert_within_ten_times_recursion(REFERENCE_LOOPS[label], cfg)
 
+    @pytest.mark.parametrize("memory, steps", [(None, 100), (5, 200)])
+    @pytest.mark.parametrize("label", list(REFERENCE_LOOPS))
+    def test_exact_recursion_against_fractions(self, label, memory, steps):
+        # The truth of the accuracy gates, against the recursion run in
+        # Fractions on the same float64 weights. At memory 5 the fractional
+        # plant's loops grow by about 1.16 per sample, and a grid fixed by
+        # the largest sample would leave the small early samples, and so
+        # every later one, at float64 accuracy.
+        tf = REFERENCE_LOOPS[label]
+        cfg = SimConfig(time_step=1e-3, horizon=(steps - 1) * 1e-3, memory_length=memory)
+        lag = cfg.memory
+        den = [Fraction(w) for w in _combined_weights(tf.denominator.terms, 1e-3, lag + 1)]
+        num = [Fraction(w) for w in _combined_weights(tf.numerator.terms, 1e-3, lag + 1)]
+        forced = [sum(num[: j + 1]) for j in range(lag + 1)]
+        exact = []
+        for k in range(cfg.steps):
+            kk = min(k, lag)
+            history = sum(den[j] * exact[k - j] for j in range(1, kk + 1))
+            exact.append((forced[kk] - history) / den[0])
+        hi, lo = exact_step(tf, cfg)
+        scale = max(map(abs, exact))
+        error = max(
+            abs(Fraction(h) + Fraction(l) - e) for h, l, e in zip(hi.tolist(), lo.tolist(), exact)
+        )
+        assert error <= Fraction(1, 10**20) * scale
+
     @pytest.mark.parametrize("label", list(REFERENCE_LOOPS))
     def test_series_inverse_of_leaf_weights(self, label):
-        # D g = delta over the first LEAF terms, checked in longdouble. The
-        # weights reach 4e9 to 7e11, and the products cancel to 0 or 1.
+        # D g = delta over the first LEAF terms, each row's products made
+        # exact by two_product and summed exactly by math.fsum. The weights
+        # reach 4e9 to 7e11, and the products cancel to 0 or 1.
         weights = _combined_weights(REFERENCE_LOOPS[label].denominator.terms, 1e-3, LEAF)
         inverse = _series_inverse(weights)
-        error = np.convolve(weights.astype(np.longdouble), inverse.astype(np.longdouble))[:LEAF]
-        error[0] -= 1
+        error = []
+        for k in range(LEAF):
+            products, product_errors = two_product(weights[k::-1], inverse[: k + 1])
+            error.append(
+                math.fsum([*products.tolist(), *product_errors.tolist(), -float(k == 0)])
+            )
         assert np.max(np.abs(error)) <= 1e-9
 
     @pytest.mark.parametrize("memory", [None, 5])
@@ -584,7 +722,7 @@ class TestBlockScan:
     def test_integer_loops_within_ten_times_recursion_at_50s(self, tf):
         # The weights past the highest order are exactly 0, so the recursion
         # at a memory of that order is the full-memory one, and 5e4 samples
-        # of it run in longdouble in about a second.
+        # of it run exactly in about a second.
         top = int(max(e for _, e in tf.numerator.terms + tf.denominator.terms))
         cfg = SimConfig(time_step=1e-3, horizon=50.0, memory_length=top)
         full = simulate_step(tf, replace(cfg, memory_length=None)).samples

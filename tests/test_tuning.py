@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,6 +285,9 @@ BUNDLED_PROBLEMS = [
     for make in (benchmarks.fractional_problem, benchmarks.servo_problem)
     for mode in ("fractional", "integer")
 ]
+PROBLEM_IDS = [
+    f"{plant}-{mode}" for plant in ("fractional", "servo") for mode in ("fractional", "integer")
+]
 
 
 class TestFitnessKernel:
@@ -464,11 +469,13 @@ def assert_tune_contracts(problem, params, result):
     assert np.all((lower <= result.best_position) & (result.best_position <= upper))
 
 
-def first_solve_meeting_target(problem, config):
-    """(iteration, point, fitness) of the first gbest whose solve meets the target.
+def first_solve_stop(problem, config):
+    """(iteration, point, fitness, floor, reason) of the first gbest whose solve stops the run.
 
     Walks minimize()'s own run: the gbest after initialization and at every
     iteration where it strictly improves, solved and evaluated one at a time.
+    A solve below its gbest stops the run on "solve" if it meets the target,
+    else on "floor" if it is at or below its floor.
     """
     gbests = []
 
@@ -485,12 +492,15 @@ def first_solve_meeting_target(problem, config):
         solve = solve_gains(position, problem)
         if solve is None:
             continue
-        solved, solved_fitness = solve
+        solved, solved_fitness, floor = solve
         value = residual(problem.decode(solved), problem).f
         assert solved_fitness == value
-        if value < history[iteration] and value <= config.target_fitness:
-            return iteration, solved, value
-    raise AssertionError("no solve met the target")
+        if value < history[iteration]:
+            if value <= config.target_fitness:
+                return iteration, solved, value, floor, "solve"
+            if value <= floor:
+                return iteration, solved, value, floor, "floor"
+    raise AssertionError("no solve stopped the run")
 
 
 class TestSolveGains:
@@ -500,19 +510,20 @@ class TestSolveGains:
         swarm = minimize(config, problem.fitness)
         solve = solve_gains(swarm.best_position, problem)
         assert solve is not None
-        solved, solved_fitness = solve
+        solved, solved_fitness, floor = solve
         # Only (ti, td) move; kp and the orders keep the swarm's values.
         assert np.array_equal(solved[[0, 3, 4]], swarm.best_position[[0, 3, 4]])
         value = residual(problem.decode(solved), problem)
         assert value.r == pytest.approx(SOLVE_REAL_TARGET, abs=1e-9)
         assert abs(value.i) < 1e-9
         assert solved_fitness == value.f
+        assert SOLVE_REAL_TARGET < solved_fitness <= floor
 
     def test_solution_outside_narrowed_box_rejected(self):
         problem = benchmarks.fractional_problem("fractional")
         config = default_pso_config(problem, seed=0, swarm_size=15, max_iterations=60)
         position = minimize(config, problem.fitness).best_position
-        solved, _ = solve_gains(position, problem)
+        solved, _, _ = solve_gains(position, problem)
         narrowed = replace(
             problem, bounds=ParameterBounds(ti=(1.0, 0.999 * solved[1]))
         )
@@ -561,18 +572,29 @@ class TestSolveGains:
         assert result.best_fitness <= config.target_fitness
         assert_tune_contracts(problem, params, result)
 
-    def test_kept_solution_meets_contracts(self):
+    def test_kept_solution_meets_contracts(self, monkeypatch):
         # No solve on this run meets the target (the servo's solves land near
-        # f = 6e-6), so the swarm runs its budget and the solve from its last
+        # f = 6e-6), so it stops on the floor of a solve. With floors of 0 it
+        # never does: the swarm runs its budget and the solve from its last
         # gbest replaces it, as a separate step after minimize() would.
         problem = benchmarks.servo_problem("integer")
         config = default_pso_config(problem, seed=1, swarm_size=15, max_iterations=60)
+        _, floored = tune(problem, config)
+        assert floored.stop_reason == "floor"
+        assert config.target_fitness < floored.best_fitness <= floored.fitness_floor
+
+        def floorless(position, problem):
+            solve = solve_gains(position, problem)
+            return None if solve is None else (*solve[:2], 0.0)
+
+        monkeypatch.setattr(tuning, "solve_gains", floorless)
         swarm = minimize(config, problem.fitness)
         params, result = tune(problem, config)
         assert result.stop_reason == swarm.stop_reason == "budget"
-        solved, solved_fitness = solve_gains(swarm.best_position, problem)
+        solved, solved_fitness = floorless(swarm.best_position, problem)[:2]
         assert result.best_position.tobytes() == solved.tobytes()
         assert result.best_fitness == solved_fitness < swarm.best_fitness
+        assert result.fitness_floor == 0.0
         assert result.swarm_fitness == swarm.best_fitness
         assert result.iterations_run == swarm.iterations_run
         assert result.fitness_history[:-1] == swarm.fitness_history[:-1]
@@ -585,17 +607,62 @@ class TestSolveGains:
     )
     def test_stops_at_first_solve_meeting_target(self, problem, seed):
         config = default_pso_config(problem, seed=seed, swarm_size=15, max_iterations=60)
-        stop_at, solved, solved_fitness = first_solve_meeting_target(problem, config)
+        stop_at, solved, solved_fitness, floor, reason = first_solve_stop(problem, config)
         params, result = tune(problem, config)
-        assert result.stop_reason == "solve"
+        assert result.stop_reason == reason
         assert result.iterations_run == stop_at
         assert result.best_position.tobytes() == solved.tobytes()
-        assert result.best_fitness == solved_fitness <= config.target_fitness
+        assert result.best_fitness == solved_fitness
+        assert result.fitness_floor == floor
+        if reason == "solve":
+            assert solved_fitness <= config.target_fitness
+        else:
+            assert config.target_fitness < solved_fitness <= floor
         assert result.best_fitness < result.swarm_fitness
         swarm = minimize(config, problem.fitness)
         assert result.fitness_history[:-1] == swarm.fitness_history[:stop_at]
         assert result.swarm_fitness == swarm.fitness_history[stop_at]
         assert_tune_contracts(problem, params, result)
+
+    @pytest.mark.parametrize("problem", BUNDLED_PROBLEMS, ids=PROBLEM_IDS)
+    def test_floor_bounds_the_kernel_rounding(self, problem):
+        # At 1,000 random in-box solved points, the kernel's r and i are
+        # within E of the exact residual of its float inputs, |i| itself is
+        # within E, and f is at or below the floor that solve_gains gives.
+        eps = Fraction(sys.float_info.epsilon)
+        den_value, num_value = problem.plant_at_poles[0]
+        den = (Fraction(den_value.real), Fraction(den_value.imag))
+        num = (Fraction(num_value.real), Fraction(num_value.imag))
+        lower, upper = problem.box
+        rng = np.random.default_rng(17)
+        solved_points = 0
+        while solved_points < 1000:
+            solve = solve_gains(lower + rng.random(problem.dims) * (upper - lower), problem)
+            if solve is None:
+                continue
+            solved_points += 1
+            position, fitness, floor = solve
+            params = problem.decode(position)
+            value = residual(params, problem)
+            p0, p1 = tuning._powers(problem, np.array([[params.lam, params.delta]]))[0]
+            kp, ti, td = (Fraction(x) for x in (params.kp, params.ti, params.td))
+            gain_r = kp + ti * Fraction(p0.real) + td * Fraction(p1.real)
+            gain_i = ti * Fraction(p0.imag) + td * Fraction(p1.imag)
+            exact_r = den[0] + gain_r * num[0] - gain_i * num[1]
+            exact_i = den[1] + gain_r * num[1] + gain_i * num[0]
+            scale = abs(den_value) + abs(num_value) * (
+                abs(params.kp) + abs(params.ti * p0) + abs(params.td * p1)
+            )
+            bound = eps * Fraction(scale)
+            assert abs(Fraction(value.r) - exact_r) <= bound
+            assert abs(Fraction(value.i) - exact_i) <= bound
+            assert abs(Fraction(value.i)) <= bound
+            assert value.f == fitness <= floor
+            error = float(bound)
+            assert floor == pytest.approx(
+                SOLVE_REAL_TARGET + 2 * error + math.atan2(error, SOLVE_REAL_TARGET - error),
+                rel=1e-12,
+            )
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("mode", ["fractional", "integer"])
