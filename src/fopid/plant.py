@@ -98,9 +98,6 @@ class FractionalTransferFunction:
         if self.denominator.is_zero:
             raise ValueError("transfer function denominator is identically zero")
 
-    def evaluate(self, s: complex) -> complex:
-        return self.numerator.evaluate(s) / self.denominator.evaluate(s)
-
     @classmethod
     def from_terms(
         cls,

@@ -176,26 +176,27 @@ class TuningProblem:
     """Plant, target pole pair, search mode, and parameter box.
 
     Integer mode pins lam = delta = 1 and searches only (kp, ti, td).
-    The plant and the logarithms the residual needs are evaluated at both
-    poles once, on construction, as are the box's bound vectors.
+    The plant and the logarithm the residual needs are evaluated at the
+    upper pole once, on construction, as are the box's bound vectors. The
+    plant has real coefficients, so its values at the lower pole are the
+    conjugates of these.
 
     Raises:
-        ValueError: if Dp(p) or Np(p) overflows or is not finite at a design
-            pole, or the plant denominator vanishes there.
+        ValueError: if Dp(p) or Np(p) overflows or is not finite at the design
+            pole, the plant denominator vanishes there, or the residual can
+            overflow inside the search box.
     """
 
     plant: FractionalTransferFunction
     poles: DominantPoles
     mode: Mode = "fractional"
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
-    # (Dp(pole), Np(pole)) at the upper pole, then at the lower one.
-    plant_at_poles: tuple[tuple[complex, complex], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    # log(pole) in the same order. A design pole has x > 0, so it is never on
-    # the branch cut, and p^e = exp(e*log p) on the principal branch.
-    log_poles: tuple[complex, complex] = field(init=False, compare=False, repr=False)
-    # (p^-1, p^1) at the upper pole, (1, 2), as _powers gives integer mode's rows.
+    # (Dp(p), Np(p)) at the upper pole p.
+    plant_at_pole: tuple[complex, complex] = field(init=False, compare=False, repr=False)
+    # log p at the upper pole. A design pole has x > 0, so it is never on the
+    # branch cut, and p^e = exp(e*log p) on the principal branch.
+    log_pole: complex = field(init=False, compare=False, repr=False)
+    # Integer mode's powers (p^-1, p^1), one (1, 2) row as _powers gives it.
     unit_powers: np.ndarray = field(init=False, compare=False, repr=False)
     # bounds.vectors(mode), read-only.
     box: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
@@ -203,31 +204,35 @@ class TuningProblem:
     def __post_init__(self) -> None:
         if self.mode not in ("fractional", "integer"):
             raise ValueError(f"mode must be 'fractional' or 'integer', got {self.mode!r}")
-        values = []
-        for pole in (self.poles.upper, self.poles.lower):
-            try:
-                den_value = self.plant.denominator.evaluate(pole)
-                num_value = self.plant.numerator.evaluate(pole)
-                den_scale = sum(
-                    abs(c) * abs(pole) ** e for c, e in self.plant.denominator.terms
-                )
-            except OverflowError:
-                den_value = num_value = den_scale = math.inf
-            if not all(map(cmath.isfinite, (den_value, num_value, den_scale))):
-                raise ValueError(
-                    f"the plant overflows at the design pole {pole}: Dp(p) or Np(p) "
-                    "is not finite"
-                )
-            # Collision guard: at a (numerical) plant pole the cleared expression
-            # no longer represents the characteristic condition.
-            if abs(den_value) <= 1e-12 * den_scale:
-                raise ValueError(f"plant denominator vanishes at the design pole {pole}")
-            values.append((den_value, num_value))
-        object.__setattr__(self, "plant_at_poles", tuple(values))
-        log_poles = (cmath.log(self.poles.upper), cmath.log(self.poles.lower))
-        object.__setattr__(self, "log_poles", log_poles)
-        object.__setattr__(self, "unit_powers", _powers(self, np.ones((1, 2))))
+        pole = self.poles.upper
+        try:
+            den_value = self.plant.denominator.evaluate(pole)
+            num_value = self.plant.numerator.evaluate(pole)
+            den_scale = sum(abs(c) * abs(pole) ** e for c, e in self.plant.denominator.terms)
+        except OverflowError:
+            den_value = num_value = den_scale = math.inf
+        if not all(map(cmath.isfinite, (den_value, num_value, den_scale))):
+            raise ValueError(
+                f"the plant overflows at the design pole {pole}: Dp(p) or Np(p) "
+                "is not finite"
+            )
+        # Collision guard: at a (numerical) plant pole the cleared expression
+        # no longer represents the characteristic condition.
+        if abs(den_value) <= 1e-12 * den_scale:
+            raise ValueError(f"plant denominator vanishes at the design pole {pole}")
         box = self.bounds.vectors(self.mode)
+        # A bound on |r + ji| in the box. f = |r| + |i| + |atan(i/r)| is at most
+        # sqrt(2)*|r + ji| + pi/2, below twice the bound wherever either can overflow.
+        scale = abs(den_value) + abs(num_value) * _gain_bound(abs(pole), box)
+        if not math.isfinite(2.0 * scale):
+            raise ValueError(
+                f"the residual overflows inside the search box at the design pole {pole}: "
+                "|Dp(p)| + |Np(p)|*(|kp| + |ti*p^-lam| + |td*p^delta|) is too large there "
+                f"(|Dp(p)| = {abs(den_value):.3g}, |Np(p)| = {abs(num_value):.3g})"
+            )
+        object.__setattr__(self, "plant_at_pole", (den_value, num_value))
+        object.__setattr__(self, "log_pole", cmath.log(pole))
+        object.__setattr__(self, "unit_powers", _powers(self, np.ones((1, 2))))
         for vector in box:
             vector.flags.writeable = False
         object.__setattr__(self, "box", box)
@@ -260,6 +265,21 @@ class TuningProblem:
         return _residual_columns(self, positions[:, :3], _position_powers(self, positions))[3]
 
 
+def _gain_bound(radius: float, box: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest |kp| + |ti|*|p|^-lam + |td|*|p|^delta in the box; inf on overflow.
+
+    radius is |p|. |p|^e is monotone in e, so it is largest at an end of the
+    order's range. Integer mode pins both orders to 1.
+    """
+    lower, upper = (vector.tolist() for vector in box)
+    ends = list(zip(lower, upper)) + [(1.0, 1.0)] * (5 - len(lower))
+    kp, ti, td = (max(map(abs, end)) for end in ends[:3])
+    try:
+        return kp + ti * max(radius**-e for e in ends[3]) + td * max(radius**e for e in ends[4])
+    except OverflowError:
+        return math.inf
+
+
 def _phase_columns(r: np.ndarray, i: np.ndarray) -> np.ndarray:
     """atan(i/r) elementwise, 0 at the origin and +/-pi/2 on r = 0.
 
@@ -274,26 +294,26 @@ def _phase_columns(r: np.ndarray, i: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _powers(problem: TuningProblem, orders: np.ndarray, conjugate: bool = False) -> np.ndarray:
+def _powers(problem: TuningProblem, orders: np.ndarray) -> np.ndarray:
     """p^-lam and p^delta, as exp(e*log p), for each row of (lam, delta) in orders."""
-    return np.exp(orders * (EXPONENT_SIGNS * problem.log_poles[conjugate]))
+    return np.exp(orders * (EXPONENT_SIGNS * problem.log_pole))
 
 
 def _position_powers(problem: TuningProblem, positions: np.ndarray) -> np.ndarray:
-    """Upper-pole (p^-lam, p^delta) per row: (N, 2), or integer mode's shared (1, 2)."""
+    """(p^-lam, p^delta) per row: (N, 2), or integer mode's shared (1, 2)."""
     if problem.mode == "fractional":
         return _powers(problem, positions[:, 3:])
     return problem.unit_powers
 
 
 def _residual_columns(
-    problem: TuningProblem, gains: np.ndarray, powers: np.ndarray, conjugate: bool = False
+    problem: TuningProblem, gains: np.ndarray, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns r, i, p, f of the residual for rows of (kp, ti, td) and (p^-lam, p^delta).
 
     gains is (N, 3); powers is (N, 2), or (1, 2) to share one pair of powers.
     """
-    den_value, num_value = problem.plant_at_poles[conjugate]
+    den_value, num_value = problem.plant_at_pole
     terms = gains[:, 1:] * powers
     expression = den_value + (gains[:, 0] + terms[:, 0] + terms[:, 1]) * num_value
     r = expression.real
@@ -305,7 +325,7 @@ def _residual_columns(
 def residual(
     params: ControllerParams, problem: TuningProblem, conjugate: bool = False
 ) -> ResidualValue:
-    """Characteristic-equation residual at the dominant pole.
+    """Characteristic-equation residual at the upper dominant pole, or the lower one.
 
     The unity-feedback characteristic condition 1 + Gc(p)*Gp(p) = 0 is
     evaluated with the plant denominator cleared: the returned complex value
@@ -316,11 +336,16 @@ def residual(
     f = |r| + |i| + |p|. Dp(p), Np(p) and log p come from the problem. This
     is a one-row call into the kernel behind TuningProblem.fitness, so the
     two agree bit for bit.
+
+    Plant and controller have real coefficients and the pole is off the
+    branch cut, so the residual at the lower pole (conjugate=True) is the
+    conjugate of the upper pole's: the same r and f, with i and p negated.
     """
     gains = np.array([[params.kp, params.ti, params.td]])
-    powers = _powers(problem, np.array([[params.lam, params.delta]]), conjugate)
-    columns = _residual_columns(problem, gains, powers, conjugate)
-    r, i, p, f = (float(column[0]) for column in columns)
+    powers = _powers(problem, np.array([[params.lam, params.delta]]))
+    r, i, p, f = (float(column[0]) for column in _residual_columns(problem, gains, powers))
+    if conjugate:
+        i, p = -i, -p
     return ResidualValue(r=r, i=i, p=p, f=f)
 
 
@@ -356,7 +381,7 @@ def solve_gains(
     if solved.shape != (problem.dims,):
         raise ValueError(f"{problem.mode} mode expects a {problem.dims}-vector")
     powers = _position_powers(problem, solved[np.newaxis])
-    den_value, num_value = problem.plant_at_poles[0]
+    den_value, num_value = problem.plant_at_pole
     kp = float(solved[0])
     base = den_value + kp * num_value
     u, v = (num_value * power for power in powers[0].tolist())

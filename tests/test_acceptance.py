@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from closed_form import closed_form_residual, rounded_polar_pole
 
 from fopid import benchmarks, pso
 from fopid.cli import main as cli_main
@@ -50,15 +51,13 @@ def test_criterion_1_denominator_constants():
 
 def test_criterion_2_closed_form_agreement():
     """Generic residual matches the hand-expanded polar form to 1e-3."""
-    problem = TuningProblem(
-        benchmarks.fractional_plant(), benchmarks.rounded_polar_pole()
-    )
+    problem = TuningProblem(benchmarks.fractional_plant(), rounded_polar_pole())
     rng = np.random.default_rng(20260808)
     worst = 0.0
     for _ in range(1000):
         params = random_params(rng)
         generic = residual(params, problem)
-        oracle = benchmarks.closed_form_residual(params)
+        oracle = closed_form_residual(params)
         worst = max(
             worst,
             abs(generic.r - oracle.r),
@@ -89,7 +88,11 @@ def test_criterion_3_reference_parameter_residuals():
 
 
 def test_criterion_4_pso_convergence():
-    """Tuning reaches f < 1e-3 in >= 9 of 10 seeds for every mode/example."""
+    """Tuning reaches f < 1e-3 in >= 9 of 10 seeds for every mode/example.
+
+    The report also counts the runs in which the swarm alone, with its full
+    budget and no gain solve, reaches f < 1e-3; that count is not asserted.
+    """
     cases = [
         ("fractional-plant fractional", benchmarks.fractional_problem("fractional")),
         ("fractional-plant integer", benchmarks.fractional_problem("integer")),
@@ -111,7 +114,7 @@ def test_criterion_4_pso_convergence():
             assert config.max_iterations == 500
             _, result = tune(problem, config)
             hits += result.best_fitness < 1e-3
-            swarm_hits += result.swarm_fitness < 1e-3
+            swarm_hits += pso.minimize(config, problem.fitness).best_fitness < 1e-3
             stops[result.stop_reason] += 1
         counts[name] = hits
         swarm_counts[name] = swarm_hits

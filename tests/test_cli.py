@@ -76,6 +76,20 @@ class TestValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["tune", "verify"])
+    def test_residual_overflowing_in_the_box(self, tmp_path, capsys, command):
+        # Dp(p) and Np(p) are finite, but 1e306 * Np(p) times the box's gains
+        # overflows: the plant is refused before any fitness is evaluated.
+        text = FRACTIONAL_PLANT.replace("numerator: [[1.0, 0.0]]", "numerator: [[1.0e306, 0.0]]")
+        text += "controllers:\n  - {kp: 1.0, ti: 1.0, td: 1.0, lambda: 1.0, delta: 1.0}\n"
+        config = write_config(tmp_path, text)
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "residual overflows inside the search box" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_plant(self, tmp_path, capsys):
         config = write_config(tmp_path, "spec: {zeta: 0.5, omega0: 1.0}\n")
         code = main(["tune", "--config", str(config), "--out", str(tmp_path / "out")])

@@ -128,7 +128,8 @@ class TestControllerTf:
             if s == 0:
                 continue
             direct = kp + ti / s + td * s
-            assert tf.evaluate(s) == pytest.approx(direct, rel=1e-12)
+            value = tf.numerator.evaluate(s) / tf.denominator.evaluate(s)
+            assert value == pytest.approx(direct, rel=1e-12)
 
 
 class TestClosedLoop:

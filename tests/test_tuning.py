@@ -1,6 +1,7 @@
 """Tests for pole placement, the residual fitness, and tuning."""
 
 import cmath
+import itertools
 import math
 import sys
 import warnings
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from closed_form import closed_form_residual, rounded_polar_pole, scalar_phase
 
 from fopid import benchmarks, tuning
 from fopid.cpower import cpow
@@ -200,6 +202,32 @@ class TestResidual:
         assert value.r == pytest.approx(-3.6138, abs=1e-3)
         assert value.i == pytest.approx(0.0544, abs=1e-3)
 
+    @pytest.mark.parametrize("mode", ["fractional", "integer"])
+    @pytest.mark.parametrize(
+        "make", [benchmarks.fractional_problem, benchmarks.servo_problem]
+    )
+    def test_bundled_problems_build(self, make, mode):
+        problem = make(mode)
+        assert problem.mode == mode
+        assert np.all(np.isfinite(problem.fitness(np.stack(problem.box))))
+
+    def test_largest_accepted_numerator_scores_finite(self):
+        # The default box's largest |kp| + |ti p^-lam| + |td p^delta| is at
+        # kp = ti = td = its upper bound, lam = 0 and delta = 2. A numerator
+        # just below the refusal scores finite at every corner of the box,
+        # without an overflow warning; one just above it is refused.
+        poles = benchmarks.design_poles()
+        radius = abs(poles.upper)
+        limit = sys.float_info.max / (2.0 * (1000.0 + 500.0 + 500.0 * radius**2))
+        denominator = [(1.0, 1.0), (1.0, 0.0)]
+        plant = FractionalTransferFunction.from_terms([(0.999 * limit, 0.0)], denominator)
+        problem = TuningProblem(plant, poles)
+        corners = np.array(list(itertools.product(*zip(*problem.box))))
+        assert np.all(np.isfinite(problem.fitness(corners)))
+        plant = FractionalTransferFunction.from_terms([(1.001 * limit, 0.0)], denominator)
+        with pytest.raises(ValueError, match="residual overflows inside the search box"):
+            TuningProblem(plant, poles)
+
     def test_pole_collision_raises(self):
         # Denominator (s - p)(s - conj p) = s^2 + 2.86 s + 4.84 vanishes at
         # the design pole.
@@ -211,15 +239,12 @@ class TestResidual:
 
     def test_plant_evaluated_once_per_problem(self, monkeypatch):
         problem = benchmarks.servo_problem()
-        poles = (problem.poles.upper, problem.poles.lower)
-        for (den_value, num_value), log_pole, pole in zip(
-            problem.plant_at_poles, problem.log_poles, poles
-        ):
-            assert den_value == problem.plant.denominator.evaluate(pole)
-            assert num_value == problem.plant.numerator.evaluate(pole)
-            assert log_pole == cmath.log(pole)
-        # The lower pole's logarithm is the exact conjugate of the upper's.
-        assert problem.log_poles[1] == problem.log_poles[0].conjugate()
+        pole = problem.poles.upper
+        assert problem.plant_at_pole == (
+            problem.plant.denominator.evaluate(pole),
+            problem.plant.numerator.evaluate(pole),
+        )
+        assert problem.log_pole == cmath.log(pole)
 
         # The box is stored once too, read-only.
         for stored, expected in zip(problem.box, problem.bounds.vectors(problem.mode)):
@@ -240,19 +265,15 @@ class TestResidual:
         tune(problem, config)
 
 
-def scalar_phase(r, i):
-    """Reference: atan(i/r), 0 at the origin and +/-pi/2 on r = 0, in scalar math."""
-    if r == 0.0:
-        if i == 0.0:
-            return 0.0
-        return math.copysign(math.pi / 2.0, i)
-    return math.atan(i / r)
-
-
 def cpow_residual(params, problem, conjugate=False):
-    """Reference: the residual in scalar complex arithmetic through cpow."""
+    """Reference: the residual at the given pole in scalar complex arithmetic through cpow.
+
+    The plant is evaluated at that pole itself, so the lower pole's value
+    never comes from conjugating the upper pole's.
+    """
     pole = problem.poles.lower if conjugate else problem.poles.upper
-    den_value, num_value = problem.plant_at_poles[conjugate]
+    den_value = problem.plant.denominator.evaluate(pole)
+    num_value = problem.plant.numerator.evaluate(pole)
     gc_value = (
         params.kp
         + params.ti * cpow(pole, -params.lam)
@@ -292,17 +313,21 @@ PROBLEM_IDS = [
 
 class TestFitnessKernel:
     def assert_matches_cpow(self, problem, positions, conjugate=False):
-        if conjugate:
-            values = [residual(problem.decode(row), problem, conjugate=True).f
-                      for row in positions]
-        else:
-            values = problem.fitness(positions)
-        for row, value in zip(positions, values):
-            expected = cpow_residual(problem.decode(row), problem, conjugate).f
-            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if not conjugate:
+            for row, value in zip(positions, problem.fitness(positions)):
+                expected = cpow_residual(problem.decode(row), problem).f
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        for row in positions:
+            params = problem.decode(row)
+            value = residual(params, problem, conjugate)
+            expected = cpow_residual(params, problem, conjugate)
+            for name in ("r", "i", "p", "f"):
+                assert getattr(value, name) == pytest.approx(
+                    getattr(expected, name), rel=1e-12, abs=0.0
+                ), name
 
     def test_matches_cpow_on_criterion_2_draws(self):
-        problem = TuningProblem(benchmarks.fractional_plant(), benchmarks.rounded_polar_pole())
+        problem = TuningProblem(benchmarks.fractional_plant(), rounded_polar_pole())
         positions = box_draws(np.random.default_rng(20260808), 1000)
         self.assert_matches_cpow(problem, positions)
 
@@ -329,7 +354,7 @@ class TestFitnessKernel:
         # integral or derivative action leaves r = 0 exactly; a constant
         # denominator c with kp = -c leaves r = i = 0.
         axis = benchmarks.fractional_problem()
-        den_value = axis.plant_at_poles[0][0]
+        den_value = axis.plant_at_pole[0]
         origin = TuningProblem(
             FractionalTransferFunction.from_terms([(1.0, 0.0)], [(2.0, 0.0)]),
             benchmarks.design_poles(),
@@ -356,7 +381,7 @@ class TestFitnessKernel:
             FractionalTransferFunction.from_terms([], [(0.8, 2.2), (1.0, 0.0)]),
             benchmarks.design_poles(),
         )
-        den_value = problem.plant_at_poles[0][0]
+        den_value = problem.plant_at_pole[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = problem.fitness(in_box_swarm(problem, np.random.default_rng(3)))
@@ -376,9 +401,7 @@ class TestClosedFormOracle:
         # The oracle's constants encode the design pole in rounded polar
         # form; the generic residual must agree there to ~1e-3 (limited by
         # the 4-figure constants).
-        problem = TuningProblem(
-            benchmarks.fractional_plant(), benchmarks.rounded_polar_pole()
-        )
+        problem = TuningProblem(benchmarks.fractional_plant(), rounded_polar_pole())
         rng = np.random.default_rng(11)
         for _ in range(100):
             params = ControllerParams(
@@ -386,20 +409,20 @@ class TestClosedFormOracle:
                 rng.uniform(0, 2), rng.uniform(0, 2),
             )
             generic = residual(params, problem)
-            oracle = benchmarks.closed_form_residual(params)
+            oracle = closed_form_residual(params)
             assert generic.r == pytest.approx(oracle.r, abs=1e-3)
             assert generic.i == pytest.approx(oracle.i, abs=1e-3)
             assert generic.f == pytest.approx(oracle.f, abs=1e-3)
 
     def test_offsets_without_integral_derivative_action(self):
-        value = benchmarks.closed_form_residual(ControllerParams(10.0, 0.0, 0.0, 1.0, 1.0))
+        value = closed_form_residual(ControllerParams(10.0, 0.0, 0.0, 1.0, 1.0))
         assert value.r == 10.0 + 1.0 + 0.875
         assert value.i == -3.428
 
     def test_ti_cosine_term_vanishes_at_quadrature(self):
         lam = 90.0 / 130.57
-        a = benchmarks.closed_form_residual(ControllerParams(5.0, 100.0, 0.0, lam, 1.0))
-        b = benchmarks.closed_form_residual(ControllerParams(5.0, 400.0, 0.0, lam, 1.0))
+        a = closed_form_residual(ControllerParams(5.0, 100.0, 0.0, lam, 1.0))
+        b = closed_form_residual(ControllerParams(5.0, 400.0, 0.0, lam, 1.0))
         assert a.r == pytest.approx(b.r, abs=1e-9)
 
 
@@ -451,8 +474,10 @@ class TestTune:
                                         max_iterations=150)
             params, result = tune(problem, config)
             pole = problem.poles.upper
-            gc = controller_tf(params).evaluate(pole)
-            gp = problem.plant.evaluate(pole)
+            gc, gp = (
+                tf.numerator.evaluate(pole) / tf.denominator.evaluate(pole)
+                for tf in (controller_tf(params), problem.plant)
+            )
             assert abs(1 + gc * gp) < math.sqrt(2) * result.best_fitness
 
 
@@ -630,7 +655,7 @@ class TestSolveGains:
         # within E of the exact residual of its float inputs, |i| itself is
         # within E, and f is at or below the floor that solve_gains gives.
         eps = Fraction(sys.float_info.epsilon)
-        den_value, num_value = problem.plant_at_poles[0]
+        den_value, num_value = problem.plant_at_pole
         den = (Fraction(den_value.real), Fraction(den_value.imag))
         num = (Fraction(num_value.real), Fraction(num_value.imag))
         lower, upper = problem.box
