@@ -11,6 +11,14 @@ tune_report.txt; simulate, metrics.json, metrics.txt and a response_<label>.csv
 per loop; verify, verify_report.json only, printing its table to stdout.
 Exit codes: 0 success, 1 input error or an output directory that cannot be
 written, 2 tuning finished above the target fitness (report still written).
+
+Each CSV row is f"{t!r},{y!r}", t = k * time_step. The bytes of those reprs
+come from reprs.float_reprs, which forms the shortest round-trip digits of a
+whole column with numpy and hands the values it cannot decide exactly to
+float.__repr__: zero, values below 1e-4 or from 1e15 up (exponent notation
+from 1e16), powers of two, a carry to an extra digit, and the rare value
+within a relative 1e-6 of a rounding edge or tie. The time column is formatted once per job; each
+curve's rows are one uint8 matrix whose NUL bytes one mask drops.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import yaml
 from . import __version__
 from .metrics import ResponseMetrics, analyze
 from .plant import ControllerParams, FractionalTransferFunction, closed_loop, controller_tf
-from .simulate import SimConfig, SimulationDiverged, StepResponse, simulate_step
+from .simulate import SimConfig, SimulationDiverged, simulate_step
 from .tuning import DesignSpec, TuningProblem, default_pso_config, residual, tune
 
 EXIT_OK = 0
@@ -317,17 +325,21 @@ def _metrics_dict(metrics: ResponseMetrics) -> dict:
     return {key: None if math.isnan(value) else value for key, value in asdict(metrics).items()}
 
 
-def _write_csv(path: Path, row_starts: list[str], response: StepResponse) -> None:
-    """Write one curve against the job's shared row starts (a diverged curve: a prefix).
+def _write_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
+    """Write one curve from the float_reprs of the job's time column and of its samples.
 
-    row_starts[k] is the line break and t_k before sample k. A curve that
-    diverged at sample 0 is the header alone.
+    A curve that diverged writes its finite prefix, and one that diverged
+    at sample 0 the header alone.
     """
-    values = response.samples.tolist()
-    cells = [""] * (2 * len(values))
-    cells[::2] = row_starts[: len(values)]
-    cells[1::2] = map(float.__repr__, values)
-    path.write_text("t,y" + "".join(cells) + "\n")
+    rows, width = len(values), times.shape[1]
+    table = np.empty((rows, width + values.shape[1] + 2), np.uint8)
+    table[:, :width] = times[:rows]
+    table[:, width] = ord(",")
+    table[:, width + 1 : -1] = values
+    table[:, -1] = ord("\n")
+    with path.open("wb") as handle:
+        handle.write(b"t,y\n")
+        handle.write(table[table != 0])
 
 
 def _resolve_problem(config: JobConfig, mode: str) -> TuningProblem:
@@ -467,10 +479,14 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
         report[label] = entry
 
     longest = max(responses.values(), key=lambda response: len(response.samples))
-    row_starts = [f"\n{t!r}," for t in longest.times.tolist()]
+    # Imported here: its tables and the numpy code they run add about
+    # 0.3 MiB of resident memory, which tune and verify need not pay.
+    from .reprs import float_reprs
+
+    times = float_reprs(longest.times)
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, response in responses.items():
-        _write_csv(out_dir / f"response_{label}.csv", row_starts, response)
+        _write_csv(out_dir / f"response_{label}.csv", times, float_reprs(response.samples))
     _write_manifest(out_dir, "simulate", config, None, config.mode)
     _write_json(out_dir / "metrics.json", report)
 

@@ -1,6 +1,8 @@
 """The package version, and the entry points the traced benchmark wraps."""
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,23 @@ def test_no_longdouble_in_the_package():
         if path != Path(__file__).resolve() and "longdouble" in path.read_text()
     ]
     assert not users, f"files that use longdouble: {users}"
+
+
+def test_package_imports_only_stdlib_numpy_and_yaml():
+    # The README says that fopid depends only on numpy and PyYAML; other
+    # packages may be installed beside it without being dependencies.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml"}
+    found = {}
+    for path in sorted((ROOT / "src" / "fopid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], []).append(path.name)
+    outside = {name: files for name, files in found.items() if name not in allowed}
+    assert not outside, f"imports outside the standard library, numpy and yaml: {outside}"
+    assert {"numpy", "yaml"} <= set(found)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fopid import benchmarks
+from fopid import benchmarks, simulate
 from fopid.plant import ControllerParams, FractionalTransferFunction, closed_loop, controller_tf
 from fopid.simulate import (
     LEAF,
@@ -705,6 +705,28 @@ class TestLeafSolve:
         assert diverged == 28
 
 
+@pytest.mark.parametrize(
+    "denominator", [[(1.0, 1.5), (1.0, 0.0)], [(1.0, 1.0), (1.0, 0.0)]],
+    ids=["leaves", "block_scan"],
+)
+def test_subnormal_response_solved_without_recursion(denominator, monkeypatch):
+    # At a gain of 1e-318 every sample is subnormal. The exact splits clamp
+    # their quantum at the smallest subnormal: a quantum that underflows to
+    # 0 divides by zero, an error under this suite's warning filter, and
+    # sends the run to the per-sample recursion. Subnormals near 1e-318
+    # resolve about 5 digits.
+    def recurse(*args):
+        raise AssertionError("the run fell back to the per-sample recursion")
+
+    monkeypatch.setattr(simulate, "_recurse", recurse)
+    cfg = SimConfig(time_step=1e-3, horizon=3.0)
+    unit = simulate_step(FractionalTransferFunction.from_terms([(1.0, 0.0)], denominator), cfg)
+    tiny = simulate_step(
+        FractionalTransferFunction.from_terms([(1e-318, 0.0)], denominator), cfg
+    ).samples
+    assert np.abs(tiny / 1e-318 - unit.samples).max() <= 1e-2 * np.abs(unit.samples).max()
+
+
 class TestBlockScan:
     """Runs whose memory is shorter than a leaf, solved by two block scans.
 
@@ -741,6 +763,42 @@ class TestBlockScan:
             [(1.0, 0.0)], [(float(math.comb(order, k)), float(k)) for k in range(order + 1)]
         )
         assert_within_ten_times_recursion(tf, SimConfig(time_step=1e-3, horizon=3.0))
+
+    @pytest.mark.parametrize(
+        "order, scanned", [(1, True), (2, True), (3, True), (4, False), (5, False)]
+    )
+    def test_scan_skipped_when_its_tail_map_predicts_failure(self, order, scanned, monkeypatch):
+        # At 1 ms the tail map of (s + 1)^4 has a 1-norm of about 4e6, so
+        # eps * norm^2 is 3e-3, above SCAN_LIMIT, and the run goes to the
+        # leaves without paying for a scan whose correction would fail.
+        # Orders up to 3 stay below it and are scanned.
+        scans = []
+        block_scan = simulate._block_scan
+        monkeypatch.setattr(
+            simulate, "_block_scan", lambda *args: scans.append(1) or block_scan(*args)
+        )
+        tf = FractionalTransferFunction.from_terms(
+            [(1.0, 0.0)], [(float(math.comb(order, k)), float(k)) for k in range(order + 1)]
+        )
+        simulate_step(tf, SimConfig(time_step=1e-3, horizon=3.0))
+        assert bool(scans) == scanned
+
+    def test_growing_loop_scanned_despite_large_tail_map(self, monkeypatch):
+        # The servo with kp = -100 grows by about 2.5e4 per leaf, to 2e102
+        # at 3 s. Its tail map's norm, 4e6, is that growth, which the samples
+        # share, so the prediction divides it out and the scan runs and
+        # passes as before.
+        scans = []
+        block_scan = simulate._block_scan
+        monkeypatch.setattr(
+            simulate, "_block_scan", lambda *args: scans.append(1) or block_scan(*args)
+        )
+        tf = closed_loop(
+            controller_tf(ControllerParams(-100.0, 1.0, 1.0, 1.0, 1.0)), benchmarks.servo_plant()
+        )
+        samples = simulate_step(tf, SimConfig(time_step=1e-3, horizon=3.0)).samples
+        assert len(scans) == 2
+        assert np.abs(samples).max() > 1e100
 
     def test_divergence_index_matches_recursion(self):
         # Negative gains: integer PIDs on the servo, whose recursion is
