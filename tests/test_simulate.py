@@ -731,8 +731,9 @@ class TestBlockScan:
     """Runs whose memory is shorter than a leaf, solved by two block scans.
 
     Every loop of integer orders takes this path, and so does any loop with
-    memory_length < LEAF, unless the scan's correction shows it too
-    ill-conditioned for one refinement and the leaves solve the run. The
+    memory_length < LEAF, unless its tail map predicts, or the scan's
+    correction shows, that it is too ill-conditioned for one refinement,
+    and the leaves solve the run. The
     gates at memory 1, 5 and 127 in TestLeafSolve reach it too.
     """
 
@@ -783,11 +784,12 @@ class TestBlockScan:
         simulate_step(tf, SimConfig(time_step=1e-3, horizon=3.0))
         assert bool(scans) == scanned
 
-    def test_growing_loop_scanned_despite_large_tail_map(self, monkeypatch):
+    def test_growing_loop_solved_by_leaves(self, monkeypatch):
         # The servo with kp = -100 grows by about 2.5e4 per leaf, to 2e102
-        # at 3 s. Its tail map's norm, 4e6, is that growth, which the samples
-        # share, so the prediction divides it out and the scan runs and
-        # passes as before.
+        # at 3 s. Its tail map's norm, 4e6, is that growth, so eps * norm^2
+        # is 3e-3, above SCAN_LIMIT, and the run goes to the leaves without
+        # a scan, although a scan would pass. The leaves solve it as
+        # accurately.
         scans = []
         block_scan = simulate._block_scan
         monkeypatch.setattr(
@@ -796,9 +798,54 @@ class TestBlockScan:
         tf = closed_loop(
             controller_tf(ControllerParams(-100.0, 1.0, 1.0, 1.0, 1.0)), benchmarks.servo_plant()
         )
-        samples = simulate_step(tf, SimConfig(time_step=1e-3, horizon=3.0)).samples
-        assert len(scans) == 2
+        cfg = SimConfig(time_step=1e-3, horizon=3.0)
+        samples = simulate_step(tf, cfg).samples
+        assert not scans
         assert np.abs(samples).max() > 1e100
+        expected, bad = reference_step(tf, cfg)
+        assert bad is None
+        assert np.all(np.abs(samples - expected) <= 1e-9 * np.maximum(np.abs(expected), 1.0))
+
+    def test_skipped_scans_would_fail(self, monkeypatch):
+        # Stable loops of integer orders 1-5 with real negative roots from
+        # 0.1 to 30. The norm test skips 30 of the 60, every one of order 4
+        # or 5, and each of those, forced through the scan, must fail its
+        # correction check. At 1 ms the scans that pass predict at most
+        # 1.4e-11 here, and the skipped ones at least 6.4 times SCAN_LIMIT.
+        results = []
+        scan_solve = simulate._scan_solve
+        monkeypatch.setattr(
+            simulate,
+            "_scan_solve",
+            lambda *args: results.append(scan_solve(*args)) or results[-1],
+        )
+        scans = []
+        block_scan = simulate._block_scan
+        monkeypatch.setattr(
+            simulate, "_block_scan", lambda *args: scans.append(1) or block_scan(*args)
+        )
+        limit = simulate.SCAN_LIMIT
+        rng = np.random.default_rng(26)
+        cfg = SimConfig(time_step=1e-3, horizon=3.0)
+        skipped = 0
+        for _ in range(60):
+            roots = 10 ** rng.uniform(-1, math.log10(30), rng.integers(1, 6))
+            coefficients = np.poly(-roots)[::-1]
+            tf = FractionalTransferFunction.from_terms(
+                [(float(coefficients[0]), 0.0)],
+                [(float(c), float(k)) for k, c in enumerate(coefficients)],
+            )
+            scans.clear()
+            simulate_step(tf, cfg)
+            if scans:
+                continue
+            skipped += 1
+            monkeypatch.setattr(simulate, "SCAN_LIMIT", math.inf)
+            results.clear()
+            simulate_step(tf, cfg)
+            monkeypatch.setattr(simulate, "SCAN_LIMIT", limit)
+            assert scans and len(results) == 1 and results[0] is None, roots
+        assert skipped == 30
 
     def test_divergence_index_matches_recursion(self):
         # Negative gains: integer PIDs on the servo, whose recursion is
