@@ -84,7 +84,7 @@ class PsoConfig:
             raise ValueError("swarm_size must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.target_fitness < 0:
+        if not self.target_fitness >= 0:
             raise ValueError("target_fitness must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")

@@ -102,7 +102,9 @@ samples before its leaf, builds up in a ``history`` array:
    samples grow has a large tail map whether its scan passes or not: over
    544 such runs, 20 of the 264 that passed predicted 2.5e-4 to 1.7e136
    and are sent too, with 113 of the 280 that failed. Steps 1-4 solve them
-   as accurately, only more slowly.
+   as accurately, only more slowly. They also solve a run whose scan, in
+   either pass, yields a sample that is non-finite or reaches the overflow
+   guard below.
 
 The FFT blocks cost about steps x log(memory)^2, where the per-sample
 recursion cost steps x memory. Measured against the same recursion on the
@@ -117,13 +119,13 @@ servo's integer loop and first- and second-order loops are at most 0.041
 times its error at 3 to 50 s, and the reference loops at memory 5, whose
 recursion grows by about 1.16 per sample, at most 6.5 times.
 
-A leaf that is non-finite, or whose max |y| reaches
+A leaf of steps 1-4 that is non-finite, or whose max |y| reaches
 DBL_MAX / (2 * (sum |den weights| + max |forced side|)), is solved again with
-the per-sample recursion, and so is every later leaf. The block scan of
-step 5 keeps the leaves before the first such leaf, checked after each of
-its two passes, and hands that leaf's start to the recursion. Below that
-size no partial sum of the recursion can overflow, so a divergence is
-reported at the recursion's own first non-finite sample.
+the per-sample recursion, and so is every later leaf. A block scan of step 5
+whose samples reach that size leaves the run to steps 1-4, which hand its
+first such leaf to the recursion. Below that size no partial sum of the
+recursion can overflow, so a divergence is reported at the recursion's own
+first non-finite sample.
 """
 
 from __future__ import annotations
@@ -353,7 +355,6 @@ def _band_residual(
     y_hi = _split_leaves(leaves, len(weights_hi) - 1).reshape(-1)
     residual = np.convolve(weights_hi, y_hi)[:size]
     np.subtract(rhs, residual, out=residual)
-    del rhs
     # y - y_hi is exact; it takes y_hi's place.
     low = np.subtract(y, y_hi, out=y_hi)
     del y_hi
@@ -385,7 +386,6 @@ def _scan_solve(
     den_rev: np.ndarray,
     forced: np.ndarray,
     lag: int,
-    h: float,
     limit: float,
     inverse: np.ndarray,
     weights_hi: np.ndarray,
@@ -393,7 +393,8 @@ def _scan_solve(
     """The n samples of a run with lag < LEAF, by two block scans (module docstring, step 5).
 
     Returns None when the scan is too ill-conditioned for one refinement,
-    before it runs when the tail map predicts that.
+    before it runs when the tail map predicts that, and when a sample of
+    either pass is non-finite or reaches limit.
     """
     den_weights = den_rev[::-1]
     # Row r < lag of a leaf takes den_weights[lag + r - t] times sample t of
@@ -406,44 +407,28 @@ def _scan_solve(
     # simulate_step's errstate, where a Python float would raise.
     if eps * norm**2 > SCAN_LIMIT:
         return None
-    leaves = np.empty((-(-n // LEAF), LEAF))
+    leaves = np.empty((len(forced) // LEAF, LEAF))
     flat = leaves.reshape(-1)
-    y = flat[:n]
     # The forced side saturates at sample lag, inside the first leaf.
     leaves[:] = inverse @ np.full(LEAF, forced[lag])
-    leaves[0] = inverse @ forced[np.minimum(np.arange(LEAF), lag)]
+    leaves[0] = inverse @ forced[:LEAF]
     _block_scan(leaves, coupling)
     flat[n:] = 0.0
-    good = _leaves_below(np.abs(leaves).max(axis=1), limit)
-    if good:
-        band_hi = weights_hi[: lag + 1]
-        # Passed on without a name here, rhs is freed once the residual has used it.
-        residual = _band_residual(
-            np.concatenate((forced[:lag], np.full(good * LEAF - lag, forced[lag]))),
-            leaves[:good],
-            band_hi,
-            den_weights[: lag + 1] - band_hi,
-        )
-        correction = residual.reshape(good, LEAF) @ inverse.T
-        del residual
-        _block_scan(correction, coupling)
-        correction.reshape(-1)[n:] = 0.0
-        leaves[:good] += correction
-        peaks = np.abs(leaves[:good]).max(axis=1)
-        # One refinement leaves about the square of the correction's share
-        # of the peak (module docstring, step 5).
-        if not np.abs(correction).max() <= math.sqrt(np.finfo(float).eps) * peaks.max():
-            return None
-        good = _leaves_below(peaks, limit)
-    if good * LEAF < n:
-        _recurse(y, good * LEAF, den_rev, forced, lag, h)
-    return y
-
-
-def _leaves_below(peaks: np.ndarray, limit: float) -> int:
-    """How many leaves come before the first whose peak is non-finite or reaches limit."""
-    bad = np.flatnonzero(~(peaks < limit))
-    return int(bad[0]) if len(bad) else len(peaks)
+    if not np.abs(leaves).max() < limit:
+        return None
+    band_hi = weights_hi[: lag + 1]
+    residual = _band_residual(forced, leaves, band_hi, den_weights[: lag + 1] - band_hi)
+    correction = residual.reshape(leaves.shape) @ inverse.T
+    del residual
+    _block_scan(correction, coupling)
+    correction.reshape(-1)[n:] = 0.0
+    leaves += correction
+    peak = np.abs(leaves).max()
+    # One refinement leaves about the square of the correction's share of
+    # the peak (module docstring, step 5).
+    if not (np.abs(correction).max() <= math.sqrt(eps) * peak and peak < limit):
+        return None
+    return flat[:n]
 
 
 def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepResponse:
@@ -480,19 +465,24 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
     if den_weights[0] == 0.0:
         raise ValueError("isolation coefficient sum(a_i * h^-alpha_i) is zero")
     # Unit step input: the forced side at step k is the prefix sum of the
-    # input weights, saturating once the memory window is full.
-    forced = np.cumsum(_combined_weights(tf.numerator.terms, h, lag + 1))
+    # input weights, saturating once the memory window is full. It spans
+    # whole leaves.
+    forced = np.empty(-(-n // LEAF) * LEAF)
+    np.cumsum(_combined_weights(tf.numerator.terms, h, lag + 1), out=forced[: lag + 1])
+    forced[lag + 1 :] = forced[lag]
     # An overflow shows up as a non-finite sample, which is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         # Below this size no partial sum of the recursion can overflow, so a
         # leaf that reaches it is handed to the recursion, which finds the
         # first bad sample.
-        limit = np.finfo(float).max / (2 * (np.abs(den_weights).sum() + np.abs(forced).max()))
+        limit = np.finfo(float).max / (
+            2 * (np.abs(den_weights).sum() + np.abs(forced[: lag + 1]).max())
+        )
         leaf_weights = den_weights[:LEAF]
         inverse = _toeplitz(_series_inverse(leaf_weights))
         weights_hi = _split(leaf_weights, np.abs(leaf_weights).max())
         if lag < LEAF:
-            y = _scan_solve(n, den_rev, forced, lag, h, limit, inverse, weights_hi)
+            y = _scan_solve(n, den_rev, forced, lag, limit, inverse, weights_hi)
             if y is not None:
                 return StepResponse(time_step=h, samples=y)
         den_hi, den_lo = _toeplitz(weights_hi), _toeplitz(leaf_weights - weights_hi)
@@ -504,14 +494,7 @@ def simulate_step(tf: FractionalTransferFunction, cfg: SimConfig) -> StepRespons
         for start in range(0, n, LEAF):
             stop = min(start + LEAF, n)
             size = stop - start
-            # The forced side stays at forced[lag] once the memory window is full.
-            if stop <= lag + 1:
-                rhs = forced[start:stop] - history[start:stop]
-            elif start >= lag:
-                rhs = forced[lag] - history[start:stop]
-            else:
-                saturated = np.full(stop - lag - 1, forced[lag])
-                rhs = np.concatenate((forced[start:], saturated)) - history[start:stop]
+            rhs = forced[start:stop] - history[start:stop]
             g = inverse[:size, :size]
             leaf = g @ rhs
             peak = np.abs(leaf).max()
@@ -573,7 +556,7 @@ def _recurse(
     for k in range(start, len(y)):
         kk = min(k, lag)
         history = np.dot(den_rev[end - kk : end], y[k - kk : k]) if kk else 0.0
-        value = (forced[kk] - history) / w0
+        value = (forced[k] - history) / w0
         if not math.isfinite(value):
             raise SimulationDiverged(k, StepResponse(time_step=h, samples=y[:k].copy()))
         y[k] = value

@@ -192,6 +192,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=name):
                 make_config(**{name: value})
 
+    @pytest.mark.parametrize("value", [-1e-9, math.nan])
+    def test_bad_target_fitness_refused(self, value):
+        # NaN compares False with everything, so a check of target < 0 let
+        # it through, and the swarm stopped on its floor after one iteration.
+        with pytest.raises(ValueError, match="target_fitness"):
+            make_config(target_fitness=value)
+
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
     def test_numpy_integers_accepted(self, kind):
         config = make_config(swarm_size=kind(4), max_iterations=kind(3), seed=kind(2))

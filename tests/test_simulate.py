@@ -732,9 +732,9 @@ class TestBlockScan:
 
     Every loop of integer orders takes this path, and so does any loop with
     memory_length < LEAF, unless its tail map predicts, or the scan's
-    correction shows, that it is too ill-conditioned for one refinement,
-    and the leaves solve the run. The
-    gates at memory 1, 5 and 127 in TestLeafSolve reach it too.
+    correction shows, that it is too ill-conditioned for one refinement, or
+    a sample of the scan comes near overflow, and the leaves solve the run.
+    The gates at memory 1, 5 and 127 in TestLeafSolve reach it too.
     """
 
     @pytest.mark.parametrize(
@@ -847,13 +847,22 @@ class TestBlockScan:
             assert scans and len(results) == 1 and results[0] is None, roots
         assert skipped == 30
 
-    def test_divergence_index_matches_recursion(self):
+    def test_divergence_index_matches_recursion(self, monkeypatch):
         # Negative gains: integer PIDs on the servo, whose recursion is
         # compared at a memory of the loop's order, 3, where it sums the
         # same three products in the same order as simulate_step's; and the
         # fractional reference controllers at memory 5 and 100, where every
-        # loop grows. Past its first bad leaf the scan's samples may be
-        # anything, and the recursion takes over from that leaf.
+        # loop grows. A scan that reaches the overflow guard, or yields a
+        # non-finite sample, gives the run to the leaves, whose first bad
+        # leaf goes to the recursion. The last two loops, the first with a
+        # positive kp, pass the tail-map test and overflow in the scan itself.
+        results = []
+        scan_solve = simulate._scan_solve
+        monkeypatch.setattr(
+            simulate,
+            "_scan_solve",
+            lambda *args: results.append(scan_solve(*args)) or results[-1],
+        )
         rng = np.random.default_rng(16)
         cases = [
             (
@@ -876,18 +885,41 @@ class TestBlockScan:
                 tf = closed_loop(controller_tf(replace(params, kp=kp)), make_plant())
                 for memory in (5, 100):
                     cases.append((tf, SimConfig(time_step=1e-3, horizon=10.0, memory_length=memory)))
-        diverged = 0
+        for params, memory, horizon in (
+            (
+                ControllerParams(
+                    692.1142839496924, 287.0297761580692, 92.08399919699063,
+                    1.174793779195437, 1.8447367917619013,
+                ),
+                10,
+                20.0,
+            ),
+            (
+                ControllerParams(
+                    -508.70627994822223, 415.7086638978797, 399.45903207001106,
+                    0.345867097878402, 1.871543458605083,
+                ),
+                3,
+                10.0,
+            ),
+        ):
+            tf = closed_loop(controller_tf(params), benchmarks.fractional_plant())
+            cases.append((tf, SimConfig(time_step=1e-3, horizon=horizon, memory_length=memory)))
+        bad_indices = []
         for tf, cfg in cases:
+            results.clear()
             got, bad = simulate_or_partial(tf, cfg)
             expected, expected_bad = reference_step(tf, cfg)
             assert bad == expected_bad, cfg
             assert len(got) == len(expected)
             if bad is not None:
-                diverged += 1
+                bad_indices.append(bad)
+                assert results == [None], cfg
                 assert np.all(
                     np.abs(got - expected) <= 1e-8 * np.maximum(np.abs(expected), 1.0)
                 ), cfg
-        assert diverged == 13
+        assert len(bad_indices) == 15
+        assert bad_indices[-2:] == [16827, 8606]
 
     @pytest.mark.parametrize("memory", [1, 5, LEAF - 1])
     @pytest.mark.parametrize("label", [*REFERENCE_LOOPS, "alternating"])
