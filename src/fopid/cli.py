@@ -94,9 +94,11 @@ def _as_float(value, where: str) -> float:
     return result
 
 
-def _as_int(value, where: str) -> int:
+def _as_int(value, where: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{where} must be >= {least}, got {value}")
     return value
 
 
@@ -128,11 +130,10 @@ def _parse_plant(raw) -> FractionalTransferFunction:
     for key in ("numerator", "denominator"):
         if key not in raw:
             raise ConfigError(f"plant.{key} is required")
+    numerator = _parse_terms(raw["numerator"], "plant.numerator")
+    denominator = _parse_terms(raw["denominator"], "plant.denominator")
     try:
-        return FractionalTransferFunction.from_terms(
-            _parse_terms(raw["numerator"], "plant.numerator"),
-            _parse_terms(raw["denominator"], "plant.denominator"),
-        )
+        return FractionalTransferFunction.from_terms(numerator, denominator)
     except ValueError as exc:
         raise ConfigError(f"plant: {exc}") from exc
 
@@ -152,6 +153,8 @@ def _check_label(label, where: str) -> str:
     """A label names an output file, so it must be a plain file-name part."""
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{where} must be a non-empty string, got {label!r}")
+    if label == "open_loop":
+        raise ConfigError(f"{where} 'open_loop' would replace the open-loop curve")
     if "/" in label or "\\" in label or label in (".", ".."):
         raise ConfigError(f"{where} {label!r} must not contain / or \\ or be . or ..")
     if "\0" in label:
@@ -165,11 +168,11 @@ def _check_label(label, where: str) -> str:
     return label
 
 
-def _parse_controller(raw, where: str) -> tuple[str | None, ControllerParams]:
-    """Parameters and label (None when not given) of one controller entry."""
+def _parse_controller(raw, where: str, known: set) -> tuple[str | None, ControllerParams]:
+    """Parameters and label (None when not given) of one entry, which may hold the known keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
-    _reject_unknown(raw, CONTROLLER_KEYS, where)
+    _reject_unknown(raw, known, where)
     if "lam" in raw and "lambda" in raw:
         raise ConfigError(f"{where} gives both lam and lambda; give one of them")
     values = {}
@@ -201,7 +204,7 @@ def _parse_sim(raw) -> SimConfig:
         # The job file spells full memory "full"; SimConfig spells it None.
         memory = raw["memory_length"]
         if memory != "full":
-            kwargs["memory_length"] = _as_int(memory, "sim.memory_length")
+            kwargs["memory_length"] = _as_int(memory, "sim.memory_length", 1)
     try:
         return SimConfig(**kwargs)
     except ValueError as exc:
@@ -236,19 +239,18 @@ def load_config(path: str | Path) -> JobConfig:
         raise ConfigError("pso must be a mapping")
     _reject_unknown(pso_raw, PSO_KEYS, "pso")
     pso_overrides = {}
+    # PsoConfig checks these too, but only tune builds one, and by its own names.
     if "swarm_size" in pso_raw:
-        pso_overrides["swarm_size"] = _as_int(pso_raw["swarm_size"], "pso.swarm_size")
+        pso_overrides["swarm_size"] = _as_int(pso_raw["swarm_size"], "pso.swarm_size", 1)
     if "iterations" in pso_raw:
-        pso_overrides["max_iterations"] = _as_int(pso_raw["iterations"], "pso.iterations")
+        pso_overrides["max_iterations"] = _as_int(pso_raw["iterations"], "pso.iterations", 1)
     if "seed" in pso_raw:
-        seed = _as_int(pso_raw["seed"], "pso.seed")
-        if seed < 0:
-            raise ConfigError(f"pso.seed must be >= 0, got {seed}")
-        pso_overrides["seed"] = seed
+        pso_overrides["seed"] = _as_int(pso_raw["seed"], "pso.seed", 0)
     if "target_fitness" in pso_raw:
-        pso_overrides["target_fitness"] = _as_float(
-            pso_raw["target_fitness"], "pso.target_fitness"
-        )
+        target = _as_float(pso_raw["target_fitness"], "pso.target_fitness")
+        if target < 0:
+            raise ConfigError(f"pso.target_fitness must be >= 0, got {target}")
+        pso_overrides["target_fitness"] = target
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -262,12 +264,16 @@ def load_config(path: str | Path) -> JobConfig:
     raw_controllers = [] if data.get("controllers") is None else data["controllers"]
     if not isinstance(raw_controllers, list):
         raise ConfigError("controllers must be a list")
-    seen_labels = {"open_loop"}
+    seen_labels = set()
     for k, raw in enumerate(raw_controllers):
-        label, params = _parse_controller(raw, f"controllers[{k}]")
-        label = label or f"controller{k + 1}"
+        label, params = _parse_controller(raw, f"controllers[{k}]", CONTROLLER_KEYS)
+        if label is None:
+            label = f"controller{k + 1}"
+            taken = f"controllers[{k}] has no label, and its default label {label!r} is taken"
+        else:
+            taken = f"controllers[{k}].label {label!r} is not unique"
         if label in seen_labels:
-            raise ConfigError(f"controllers[{k}].label {label!r} is not unique")
+            raise ConfigError(taken)
         seen_labels.add(label)
         controllers.append((label, params))
 
@@ -360,19 +366,14 @@ def _load_params_file(path: str) -> list[tuple[str, ControllerParams]]:
     for label in sorted(results):
         entry = results[label]
         _check_label(label, "params file entry")
-        if label == "open_loop":
-            raise ConfigError("params file entry 'open_loop' would replace the open-loop curve")
         if not isinstance(entry, dict) or "params" not in entry:
             raise ConfigError(f"params file entry {label!r} has no params")
-        _, params = _parse_controller(entry["params"], f"results.{label}.params")
+        # The entry's key is its label, so its params may not carry one.
+        _, params = _parse_controller(
+            entry["params"], f"results.{label}.params", CONTROLLER_KEYS - {"label"}
+        )
         controllers.append((label, params))
     return controllers
-
-
-def _gather_controllers(config: JobConfig, params_path) -> list[tuple[str, ControllerParams]]:
-    if params_path:
-        return _load_params_file(params_path)
-    return list(config.controllers)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -445,7 +446,7 @@ def cmd_tune(config: JobConfig, out_dir: Path, seed, mode) -> int:
 
 
 def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
-    controllers = _gather_controllers(config, params_path)
+    controllers = _load_params_file(params_path) if params_path else config.controllers
     if not controllers and not config.include_open_loop:
         raise ConfigError("nothing to simulate: give controllers or include_open_loop")
 
@@ -511,7 +512,7 @@ def cmd_simulate(config: JobConfig, out_dir: Path, params_path) -> int:
 
 
 def cmd_verify(config: JobConfig, out_dir: Path, params_path) -> int:
-    controllers = _gather_controllers(config, params_path)
+    controllers = _load_params_file(params_path) if params_path else config.controllers
     if not controllers:
         raise ConfigError("nothing to verify: give controllers inline or via --params")
     problem = _resolve_problem(config, "fractional")
@@ -570,9 +571,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out or config.output_dir or "out")
         if args.command == "tune":
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            return cmd_tune(config, out_dir, args.seed, args.mode or config.mode)
+            seed = None if args.seed is None else _as_int(args.seed, "--seed", 0)
+            return cmd_tune(config, out_dir, seed, args.mode or config.mode)
         if args.command == "simulate":
             return cmd_simulate(config, out_dir, args.params)
         return cmd_verify(config, out_dir, args.params)

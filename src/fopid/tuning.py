@@ -24,7 +24,7 @@ import numpy as np
 
 # Not used here; kept importable as tuning.cpow for callers that look the
 # entry point up on this module (the traced run in perfbench/spans.py).
-from .cpower import cpow  # noqa: F401
+from .plant import cpow  # noqa: F401
 from .plant import ControllerParams, FractionalTransferFunction
 from .pso import PsoConfig, SwarmResult, minimize
 
@@ -432,17 +432,16 @@ def tune(problem: TuningProblem, pso: PsoConfig) -> tuple[ControllerParams, Swar
     (best fitness above target) is not an error; callers decide how to flag
     it.
     """
-    if pso.dims != problem.dims:
-        raise ValueError(
-            f"optimizer dims {pso.dims} do not match {problem.mode} mode "
-            f"(expected {problem.dims})"
-        )
+    # Bounds of the other mode have another length, so they never compare equal.
     lower, upper = problem.box
     if not (
         np.array_equal(pso.lower_bounds, lower)
         and np.array_equal(pso.upper_bounds, upper)
     ):
-        raise ValueError("optimizer bounds do not match the problem bounds")
+        raise ValueError(
+            f"optimizer bounds ({pso.dims} dims) do not match the problem box of "
+            f"{problem.mode} mode ({problem.dims} dims)"
+        )
 
     result = minimize(pso, problem.fitness, polish=partial(solve_gains, problem=problem))
     return problem.decode(result.best_position), result

@@ -33,6 +33,12 @@ sim:
   horizon: 2.0
 """
 
+# A first-order plant, a design spec and one controller, for job files that
+# are refused before any of them is used.
+LAG_PLANT = "plant:\n  numerator: [[1.0, 0.0]]\n  denominator: [[1.0, 1.0], [1.0, 0.0]]\n"
+LAG_SPEC = "spec: {zeta: 0.5, omega0: 1.0}\n"
+UNIT_CONTROLLER = "  - {kp: 1.0, ti: 1.0, td: 1.0, lambda: 1.0, delta: 1.0}\n"
+
 
 def write_config(tmp_path, text, name="job.yaml"):
     path = tmp_path / name
@@ -156,6 +162,8 @@ class TestValidation:
             ("controllers", "0", "controllers must be a list"),
             ("controllers", "false", "controllers must be a list"),
             ("controllers", "{a: 1}", "controllers must be a list"),
+            ("sim", "[]", "sim must be a mapping"),
+            ("sim", "0", "sim must be a mapping"),
         ],
     )
     def test_section_of_wrong_type_refused(self, tmp_path, capsys, section, value, message):
@@ -228,6 +236,10 @@ class TestValidation:
         assert sim.memory_length is None
         assert sim.memory == sim.steps - 1
 
+    def test_integer_memory_length_loads(self, tmp_path):
+        text = TestSimulate.CONFIG.replace("horizon: 2.0", "horizon: 2.0\n  memory_length: 200")
+        assert load_config(write_config(tmp_path, text)).sim.memory_length == 200
+
     @pytest.mark.parametrize("payload", ["[1, 2]", '"results"', "3"])
     def test_params_file_must_be_an_object(self, tmp_path, capsys, payload):
         config = write_config(tmp_path, FRACTIONAL_PLANT)
@@ -288,6 +300,8 @@ class TestValidation:
             pytest.param('"a\\0b"', "must not contain a NUL character", id="nul"),
             # response_<label>.csv is 256 bytes, one more than a file name may have.
             pytest.param("x" * 243, "is too long", id="too_long"),
+            # Refused even as the only controller's label.
+            ("open_loop", "'open_loop' would replace the open-loop curve"),
         ],
     )
     def test_bad_controller_label(self, tmp_path, capsys, label, message):
@@ -325,6 +339,157 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "escape.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[1, 2]\n", "config root must be a mapping", id="root"),
+            pytest.param(
+                "plant: [1.0]\n", "plant must be a mapping with numerator and denominator",
+                id="plant_type",
+            ),
+            pytest.param(
+                "plant: {numerator: [[1.0, 0.0]]}\n", "plant.denominator is required",
+                id="plant_part",
+            ),
+            pytest.param(
+                LAG_PLANT.replace("[[1.0, 0.0]]", "[]"),
+                "plant.numerator must be a non-empty list of [coefficient, exponent] pairs",
+                id="empty_terms",
+            ),
+            pytest.param(
+                LAG_PLANT.replace("[[1.0, 0.0]]", "[[1.0]]"),
+                "plant.numerator[0] must be a [coefficient, exponent] pair",
+                id="short_term",
+            ),
+            pytest.param(
+                LAG_PLANT.replace("[1.0, 1.0], [1.0, 0.0]", "[1.0, 1.0], [1.0, -1.0]"),
+                "plant.denominator[1] exponent must be >= 0, got -1.0",
+                id="negative_exponent",
+            ),
+            pytest.param(
+                LAG_PLANT.replace("[[1.0, 0.0]]", "[[abc, 0.0]]"),
+                "plant.numerator[0] coefficient must be a number, got 'abc'",
+                id="not_a_number",
+            ),
+            pytest.param(
+                LAG_PLANT.replace("[[1.0, 0.0]]", "[[.inf, 0.0]]"),
+                "plant.numerator[0] coefficient must be finite, got inf",
+                id="not_finite",
+            ),
+            pytest.param(LAG_PLANT + "spec: [0.5]\n", "spec must be a mapping", id="spec_type"),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "pso: {swarm_size: 2.5}\n",
+                "pso.swarm_size must be an integer, got 2.5",
+                id="not_an_integer",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "sim: {memory_length: 0}\n",
+                "sim.memory_length must be >= 1, got 0",
+                id="memory_length",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "sim: {time_step: -1.0}\n",
+                "sim: time_step must be positive",
+                id="sim_config",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "controllers:\n  - 3\n",
+                "controllers[0] must be a mapping",
+                id="controller_type",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "controllers:\n  - {kp: 1.0, ti: 1.0, td: 1.0, lambda: 1.0}\n",
+                "controllers[0].delta is required",
+                id="controller_parameter",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "controllers:\n"
+                + UNIT_CONTROLLER.replace("}", ", label: twice}") * 2,
+                "controllers[1].label 'twice' is not unique",
+                id="duplicate_label",
+            ),
+            pytest.param(
+                LAG_PLANT + LAG_SPEC + "controllers:\n"
+                + UNIT_CONTROLLER.replace("}", ", label: controller2}") + UNIT_CONTROLLER,
+                "controllers[1] has no label, and its default label 'controller2' is taken",
+                id="default_label_taken",
+            ),
+            pytest.param(
+                LAG_PLANT + "controllers:\n" + UNIT_CONTROLLER,
+                "spec is required for this command",
+                id="no_spec",
+            ),
+        ],
+    )
+    def test_job_file_refused(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
+        # The whole of stderr: no traceback, and no prefix that repeats the field.
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "simulate", "verify"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("iterations: 25", "iterations: 0", "pso.iterations must be >= 1, got 0"),
+            ("swarm_size: 10", "swarm_size: 0", "pso.swarm_size must be >= 1, got 0"),
+            ("seed: 7", "seed: -1", "pso.seed must be >= 0, got -1"),
+            ("target_fitness: 1.0e-6", "target_fitness: -1",
+             "pso.target_fitness must be >= 0, got -1.0"),
+        ],
+        ids=["iterations", "swarm_size", "seed", "target_fitness"],
+    )
+    def test_bad_pso_field_refused_by_every_command(
+        self, tmp_path, capsys, command, old, new, message
+    ):
+        # Only tune runs the swarm, but every command loads the section.
+        text = FRACTIONAL_PLANT.replace(old, new) + "controllers:\n" + UNIT_CONTROLLER
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, FRACTIONAL_PLANT)
+        out = tmp_path / "o"
+        assert main(["tune", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("{", "cannot read params file"),
+            ('{"results": {"a": 1}}', "params file entry 'a' has no params"),
+            # The entry's key is the curve's label; a label beside it is refused.
+            (
+                json.dumps({"results": {"a": {"params": {
+                    "kp": 1.0, "ti": 1.0, "td": 1.0, "lambda": 1.0, "delta": 1.0, "label": "b",
+                }}}}),
+                "results.a.params has unknown fields: ['label']",
+            ),
+        ],
+        ids=["not_json", "no_params", "label_in_params"],
+    )
+    def test_bad_params_file_entry_refused(self, tmp_path, capsys, payload, message):
+        config = write_config(tmp_path, TestSimulate.CONFIG)
+        params = tmp_path / "params.json"
+        params.write_text(payload)
+        out = tmp_path / "o"
+        code = main(
+            ["simulate", "--config", str(config), "--params", str(params), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTune:

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fopid.cpower import cpow
+from fopid.plant import cpow
 
 # Evaluation point used throughout the residual math: second-quadrant pole.
 Z = complex(-1.43, 1.67)

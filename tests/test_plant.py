@@ -32,6 +32,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             FractionalPolynomial([(1.0, -0.5)])
 
+    @pytest.mark.parametrize("term", [(float("inf"), 1.0), (1.0, float("nan"))])
+    def test_non_finite_term_rejected(self, term):
+        with pytest.raises(ValueError, match="polynomial terms must be finite"):
+            FractionalPolynomial([term])
+
     def test_idempotence(self):
         p = FractionalPolynomial([(2.0, 1.0), (1.0, 0.3), (0.5, 1.0 + 5e-13)])
         again = FractionalPolynomial(p.terms)

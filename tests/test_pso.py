@@ -192,6 +192,18 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=name):
                 make_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("swarm_size", 0, "swarm_size must be >= 1"),
+            ("max_iterations", 0, "max_iterations must be >= 1"),
+            ("seed", -1, "seed must be a non-negative integer"),
+        ],
+    )
+    def test_out_of_range_integers_refused(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_config(**{name: value})
+
     @pytest.mark.parametrize("value", [-1e-9, math.nan])
     def test_bad_target_fitness_refused(self, value):
         # NaN compares False with everything, so a check of target < 0 let

@@ -142,6 +142,10 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="memory_length"):
             SimConfig(memory_length=True)
 
+    def test_horizon_shorter_than_a_step_refused(self):
+        with pytest.raises(ValueError, match="horizon must cover at least one step"):
+            SimConfig(time_step=1.0, horizon=0.5)
+
 
 class TestSimulateStep:
     def test_first_order_against_analytic(self):
@@ -703,6 +707,29 @@ class TestLeafSolve:
                     assert len(got) == len(expected)
                     diverged += bad is not None
         assert diverged == 28
+
+    def test_recursion_that_finishes_ends_the_run(self, monkeypatch):
+        # The leaf that starts at sample 8576 reaches the overflow guard, so
+        # the recursion takes the run from there, finds every sample finite
+        # and ends it: all 8,701 samples come back, max |y| about 1.37e298.
+        # The recursion at memory 3, the loop's order, diverges at 8723.
+        starts = []
+        recurse = simulate._recurse
+
+        def counted(y, start, *args):
+            recurse(y, start, *args)
+            starts.append(start)
+
+        monkeypatch.setattr(simulate, "_recurse", counted)
+        tf = closed_loop(
+            controller_tf(ControllerParams(-100.0, 1.0, 1.0, 1.0, 1.0)), benchmarks.servo_plant()
+        )
+        got = simulate_step(tf, SimConfig(time_step=1e-3, horizon=8.7)).samples
+        assert starts == [8576]
+        expected, bad = reference_step(tf, SimConfig(time_step=1e-3, horizon=8.7, memory_length=3))
+        assert bad is None and len(got) == len(expected) == 8701
+        peak = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-9 * peak
 
 
 @pytest.mark.parametrize(

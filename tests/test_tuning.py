@@ -13,7 +13,7 @@ import pytest
 from closed_form import closed_form_residual, rounded_polar_pole, scalar_phase
 
 from fopid import benchmarks, tuning
-from fopid.cpower import cpow
+from fopid.plant import cpow
 from fopid.plant import ControllerParams, FractionalPolynomial, FractionalTransferFunction
 from fopid.pso import PsoConfig, minimize
 from fopid.tuning import (
@@ -68,6 +68,14 @@ class TestPolesFromDamping:
         assert poles.upper == complex(-1.43, 1.67)
         assert poles.lower == complex(-1.43, -1.67)
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [(0.0, 1.0, "x > 0 and y > 0"), (1.0, -1.0, "x > 0 and y > 0"), (1.0, math.inf, "finite")],
+    )
+    def test_pole_pair_refused(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            DominantPoles(x, y)
+
 
 class TestSpecToDamping:
     def test_ten_percent_overshoot(self):
@@ -109,6 +117,14 @@ class TestDesignSpec:
             DesignSpec(zeta=0.5)
         with pytest.raises(ValueError):
             DesignSpec()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [({"mp": 0.1}, "overshoot form needs both"), ({"omega0": 1.0}, "damping form needs both")],
+    )
+    def test_partial_form_named(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            DesignSpec(**values)
 
     def test_rejects_overdamped(self):
         with pytest.raises(ValueError, match="zeta"):
@@ -227,6 +243,16 @@ class TestResidual:
         plant = FractionalTransferFunction.from_terms([(1.001 * limit, 0.0)], denominator)
         with pytest.raises(ValueError, match="residual overflows inside the search box"):
             TuningProblem(plant, poles)
+
+    def test_gain_bound_overflow_refused(self):
+        # |p| = 1e200: Dp(p) = p + 1 is finite, but |p|^delta at delta = 2 overflows.
+        plant = FractionalTransferFunction.from_terms([(1.0, 0.0)], [(1.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="residual overflows inside the search box"):
+            TuningProblem(plant, poles_from_damping(0.5, 1e200))
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="mode must be 'fractional' or 'integer'"):
+            TuningProblem(benchmarks.fractional_plant(), benchmarks.design_poles(), mode="both")
 
     def test_pole_collision_raises(self):
         # Denominator (s - p)(s - conj p) = s^2 + 2.86 s + 4.84 vanishes at
@@ -389,6 +415,13 @@ class TestFitnessKernel:
         assert (value.r, value.i) == (den_value.real, den_value.imag)
         assert np.all(values == value.f)
 
+    def test_decode_and_solve_refuse_a_vector_of_the_wrong_length(self):
+        problem = benchmarks.fractional_problem("integer")
+        with pytest.raises(ValueError, match="integer mode expects a 3-vector"):
+            problem.decode(np.ones(5))
+        with pytest.raises(ValueError, match="integer mode expects a 3-vector"):
+            solve_gains(np.ones(5), problem)
+
     def test_rejects_positions_of_the_wrong_shape(self):
         problem = benchmarks.fractional_problem("integer")
         for shape in ((3,), (4, 5), (4, 2)):
@@ -543,6 +576,11 @@ class TestSolveGains:
         assert abs(value.i) < 1e-9
         assert solved_fitness == value.f
         assert SOLVE_REAL_TARGET < solved_fitness <= floor
+
+    def test_singular_system_gives_none(self):
+        # At lam = delta = 0 both powers of p are 1, so the ti and td columns are equal.
+        position = np.array([10.0, 5.0, 5.0, 0.0, 0.0])
+        assert solve_gains(position, benchmarks.fractional_problem()) is None
 
     def test_solution_outside_narrowed_box_rejected(self):
         problem = benchmarks.fractional_problem("fractional")
